@@ -19,7 +19,7 @@ exo2trace="${2:?usage: check_obs.sh <test_obs> <exo2trace>}"
 
 # The traced workload must not inherit a tracing or cache environment
 # from the CI job: the gate times the *disabled* path.
-unset EXO2_TRACE EXO2_TRACE_RING EXO2_CACHE_DIR EXO2_TUNE_DEADLINE
+unset EXO2_TRACE EXO2_TRACE_RING EXO2_CACHE_DIR
 
 echo "=== obs unit tests ==="
 "$test_obs"

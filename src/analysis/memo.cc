@@ -2,11 +2,22 @@
 
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace exo2 {
 
 namespace {
 
 bool g_enabled = true;
+
+const obs::StatsView<AnalysisMemoStats> g_counters{
+    {"analysis.affine_hits", &AnalysisMemoStats::affine_hits},
+    {"analysis.affine_misses", &AnalysisMemoStats::affine_misses},
+    {"analysis.linear_hits", &AnalysisMemoStats::linear_hits},
+    {"analysis.linear_misses", &AnalysisMemoStats::linear_misses},
+    {"analysis.effects_hits", &AnalysisMemoStats::effects_hits},
+    {"analysis.effects_misses", &AnalysisMemoStats::effects_misses},
+};
 
 std::vector<void (*)()>&
 clearers()
@@ -18,8 +29,6 @@ clearers()
 }  // namespace
 
 namespace memo_internal {
-
-AnalysisMemoStats g_stats;
 
 void
 register_clearer(void (*fn)())
@@ -53,13 +62,13 @@ clear_analysis_memo()
 AnalysisMemoStats
 analysis_memo_stats()
 {
-    return memo_internal::g_stats;
+    return g_counters.read();
 }
 
 void
 reset_analysis_memo_stats()
 {
-    memo_internal::g_stats = AnalysisMemoStats{};
+    g_counters.reset();
 }
 
 }  // namespace exo2

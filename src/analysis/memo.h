@@ -41,7 +41,8 @@ void set_analysis_memo_enabled(bool on);
 /** Drop every memo cache entry (affine, linear, effects). */
 void clear_analysis_memo();
 
-/** Aggregate hit/miss counters, for tests and benchmark reporting. */
+/** Aggregate hit/miss counters, for tests and benchmark reporting (a
+ *  view of the `analysis.*` registry counters, obs/metrics.h). */
 struct AnalysisMemoStats
 {
     uint64_t affine_hits = 0;
@@ -67,9 +68,6 @@ struct ClearerRegistration
 {
     explicit ClearerRegistration(void (*fn)()) { register_clearer(fn); }
 };
-
-/** Shared counters, bumped by the individual caches. */
-extern AnalysisMemoStats g_stats;
 
 }  // namespace memo_internal
 

@@ -12,6 +12,7 @@
 #include <mutex>
 
 #include "src/cache/cache_internal.h"
+#include "src/obs/metrics.h"
 #include "src/util/env.h"
 #include "src/util/file_atomic.h"
 #include "src/verify/sandbox.h"
@@ -80,23 +81,34 @@ CompileKey::hash() const
 
 namespace {
 
-std::mutex g_stats_mu;
-CacheStats g_stats;
+const obs::StatsView<CacheStats> g_counters{
+    {"cache.tune_hits", &CacheStats::tune_hits},
+    {"cache.tune_misses", &CacheStats::tune_misses},
+    {"cache.tune_stores", &CacheStats::tune_stores},
+    {"cache.tune_store_failures", &CacheStats::tune_store_failures},
+    {"cache.tune_corrupt", &CacheStats::tune_corrupt},
+    {"cache.tune_stale", &CacheStats::tune_stale},
+    {"cache.jit_hits", &CacheStats::jit_hits},
+    {"cache.jit_misses", &CacheStats::jit_misses},
+    {"cache.jit_stores", &CacheStats::jit_stores},
+    {"cache.jit_store_failures", &CacheStats::jit_store_failures},
+    {"cache.jit_corrupt", &CacheStats::jit_corrupt},
+    {"cache.jit_stale", &CacheStats::jit_stale},
+    {"cache.tmp_swept", &CacheStats::tmp_swept},
+};
 
 }  // namespace
 
 CacheStats
 cache_stats()
 {
-    std::lock_guard<std::mutex> lk(g_stats_mu);
-    return g_stats;
+    return g_counters.read();
 }
 
 void
 reset_cache_stats()
 {
-    std::lock_guard<std::mutex> lk(g_stats_mu);
-    g_stats = CacheStats();
+    g_counters.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -194,16 +206,6 @@ quarantine(const std::string& dir, const std::string& name,
                       std::to_string(seq.fetch_add(1));
     if (rename(src.c_str(), dst.c_str()) != 0)
         unlink(src.c_str());  // never serve a damaged entry twice
-}
-
-StatsRef::StatsRef() { g_stats_mu.lock(); }
-
-StatsRef::~StatsRef() { g_stats_mu.unlock(); }
-
-CacheStats*
-StatsRef::operator->()
-{
-    return &g_stats;  // guarded by the mutex held for our lifetime
 }
 
 void

@@ -68,7 +68,8 @@ std::string hex64(uint64_t v);
 /** The cache root from EXO2_CACHE_DIR; empty = caching disabled. */
 std::string cache_dir_from_env();
 
-/** Process-wide degradation/effectiveness counters for both caches. */
+/** Process-wide degradation/effectiveness counters for both caches (a
+ *  view of the `cache.*` registry counters, obs/metrics.h). */
 struct CacheStats
 {
     // Tuning cache.

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "src/obs/metrics.h"
+
 namespace exo2 {
 
 namespace {
@@ -9,6 +11,14 @@ namespace {
 bool g_fwd_enabled = true;
 bool g_index_enabled = true;
 uint64_t g_epoch = 1;
+
+const obs::StatsView<CursorAccelStats> g_counters{
+    {"cursor.fwd_hits", &CursorAccelStats::fwd_hits},
+    {"cursor.fwd_misses", &CursorAccelStats::fwd_misses},
+    {"cursor.index_hits", &CursorAccelStats::index_hits},
+    {"cursor.index_misses", &CursorAccelStats::index_misses},
+    {"cursor.index_pruned", &CursorAccelStats::index_pruned},
+};
 
 std::vector<void (*)()>&
 clearers()
@@ -20,8 +30,6 @@ clearers()
 }  // namespace
 
 namespace accel_internal {
-
-CursorAccelStats g_stats;
 
 void
 register_clearer(void (*fn)())
@@ -76,13 +84,13 @@ cursor_accel_epoch()
 CursorAccelStats
 cursor_accel_stats()
 {
-    return accel_internal::g_stats;
+    return g_counters.read();
 }
 
 void
 reset_cursor_accel_stats()
 {
-    accel_internal::g_stats = CursorAccelStats{};
+    g_counters.reset();
 }
 
 }  // namespace exo2

@@ -65,7 +65,8 @@ void clear_cursor_accel_caches();
  */
 uint64_t cursor_accel_epoch();
 
-/** Hit/miss counters, for tests and benchmark reporting. */
+/** Hit/miss counters, for tests and benchmark reporting (a view of the
+ *  `cursor.*` registry counters, obs/metrics.h). */
 struct CursorAccelStats
 {
     /** Forwarding memo hits (walk stopped at a cached ancestor). */
@@ -120,9 +121,6 @@ struct ClearerRegistration
 {
     explicit ClearerRegistration(void (*fn)()) { register_clearer(fn); }
 };
-
-/** Shared counters, bumped by the individual caches. */
-extern CursorAccelStats g_stats;
 
 }  // namespace accel_internal
 

@@ -63,7 +63,8 @@ hash_str(const std::string& s)
     return h;
 }
 
-/** Interner introspection (implemented in expr.cc). */
+/** Interner introspection (implemented in expr.cc; hits and misses are
+ *  the `ir.intern_*` registry counters, obs/metrics.h). */
 struct InternerStats
 {
     uint64_t live_nodes = 0;  ///< distinct interned expressions

@@ -8,6 +8,7 @@
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace exo2 {
@@ -483,7 +484,11 @@ class CostSim
 // -- Result memoization (see cost_sim.h) -------------------------------
 
 bool g_cache_enabled = true;
-CostSimCacheStats g_cache_stats;
+
+const obs::StatsView<CostSimCacheStats> g_cache_counters{
+    {"costsim.cache_hits", &CostSimCacheStats::hits},
+    {"costsim.cache_misses", &CostSimCacheStats::misses},
+};
 
 std::unordered_map<uint64_t, CostResult>&
 cost_cache()
@@ -528,13 +533,13 @@ cost_key(const ProcPtr& p, const std::vector<CostArg>& args,
 CostSimCacheStats
 cost_sim_cache_stats()
 {
-    return g_cache_stats;
+    return g_cache_counters.read();
 }
 
 void
 reset_cost_sim_cache_stats()
 {
-    g_cache_stats = CostSimCacheStats();
+    g_cache_counters.reset();
 }
 
 bool
@@ -566,10 +571,10 @@ simulate_cost(const ProcPtr& p, const std::vector<CostArg>& args,
         key = cost_key(p, args, cfg);
         auto it = cost_cache().find(key);
         if (it != cost_cache().end()) {
-            g_cache_stats.hits++;
+            EXO2_COUNT("costsim.cache_hits");
             return it->second;
         }
-        g_cache_stats.misses++;
+        EXO2_COUNT("costsim.cache_misses");
     }
     // Spanned only on a memo miss: hits are a hash probe, far below
     // span granularity, and the tuner scores thousands of them.

@@ -116,7 +116,8 @@ CostResult simulate_cost_named(const ProcPtr& p,
 // and inputs). Single-threaded like the analysis memo caches; cleared
 // together with the cursor-accel caches (`clear_cursor_accel_caches`).
 
-/** Hit/miss counters, reported alongside `cursor_accel_stats()`. */
+/** Hit/miss counters, reported alongside `cursor_accel_stats()` (a view
+ *  of the `costsim.*` registry counters, obs/metrics.h). */
 struct CostSimCacheStats
 {
     uint64_t hits = 0;

@@ -6,10 +6,11 @@
  * Process-wide metrics registry (DESIGN.md §10): named counters,
  * gauges, and log-scale histograms behind one queryable snapshot.
  *
- * This is the unification point for the engine's scattered stats
- * structs — cursor-accel hits, cost-sim cache hits, persistent-cache
- * counters, daemon latencies all surface here (publish_engine_stats
- * mirrors the legacy structs in), and `op=metrics` on the daemon
+ * The registry is the only storage for the engine's counters. Cursor
+ * acceleration, analysis memo, interner, cost-sim cache, persistent
+ * cache, ISA-downgrade and fault-injection counts are registry
+ * counters bumped at their sites; each subsystem's `*_stats()` struct
+ * is a StatsView read of them, and `op=metrics` on the daemon
  * serializes the whole registry as JSON.
  *
  * Concurrency: registration (name -> metric lookup) takes a mutex;
@@ -31,7 +32,10 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace exo2 {
 namespace obs {
@@ -130,11 +134,48 @@ std::string metrics_json();
 /** Zero every metric in place (references stay valid). Test hook. */
 void reset_metrics();
 
-/** Mirror the engine's legacy stats structs (cursor-accel, cost-sim
- *  cache, persistent caches, fault injection) into registry gauges so
- *  one metrics_json() covers the whole engine. Cheap; call before
- *  serving a snapshot. */
-void publish_engine_stats();
+/**
+ * A subsystem's stats struct as a view over registry counters: each
+ * binding names the counter that owns one `uint64_t` field. Define
+ * one at namespace scope next to the subsystem's accessors —
+ * construction registers every name, so a snapshot lists the whole
+ * group (at zero) before its first event. Sites bump the counters by
+ * name (EXO2_COUNT); read()/reset() back `*_stats()`/`reset_*_stats()`.
+ */
+template <typename Stats>
+class StatsView
+{
+  public:
+    struct Binding
+    {
+        const char* name;
+        uint64_t Stats::*field;
+    };
+
+    StatsView(std::initializer_list<Binding> bindings)
+    {
+        for (const Binding& b : bindings)
+            fields_.emplace_back(&counter(b.name), b.field);
+    }
+
+    /** `base` with every bound field set to its counter's value. */
+    Stats read(Stats base = Stats()) const
+    {
+        for (const auto& [c, field] : fields_)
+            base.*field = c->value();
+        return base;
+    }
+
+    /** Zero the bound counters (other metrics are untouched). */
+    void reset() const
+    {
+        for (const auto& f : fields_)
+            f.first->reset();
+    }
+
+  private:
+    std::vector<std::pair<Counter*, uint64_t Stats::*>> fields_;
+};
 
 /** Bump a named counter; the lookup is done once per call site. */
 #define EXO2_COUNT(name)                                                  \

@@ -506,10 +506,8 @@ Daemon::process(const ServeRequest& req, double admitted)
             resp.extra["latency_p95_ms"] = fmt_ms(lat.percentile(0.95));
             resp.extra["latency_p99_ms"] = fmt_ms(lat.percentile(0.99));
         } else if (req.op == "metrics") {
-            // The whole registry as one JSON value: engine gauges
-            // refreshed first so counters, caches, latency and phase
-            // histograms arrive in a single snapshot.
-            obs::publish_engine_stats();
+            // The whole registry as one JSON value: engine counters,
+            // caches, latency and phase histograms in one snapshot.
             resp.status = "ok";
             resp.extra["metrics"] = obs::metrics_json();
         } else if (req.op == "tune") {

@@ -64,11 +64,12 @@
 namespace exo2 {
 namespace serve {
 
-/** Daemon configuration; every field has an EXO2_SERVE_* override
- *  (see from_env). */
+/** Daemon configuration. from_env reads the EXO2_SERVE_* variables
+ *  noted per field; the retry backoff, I/O timeout and retry-after
+ *  hint are set only in code. */
 struct ServeConfig
 {
-    std::string socket_path = "/tmp/exo2d.sock";
+    std::string socket_path = "/tmp/exo2d.sock";  ///< (EXO2_SERVE_SOCKET)
     int workers = 4;            ///< worker threads (EXO2_SERVE_WORKERS)
     int queue_capacity = 64;    ///< bounded queue (EXO2_SERVE_QUEUE)
     double default_deadline_seconds = 0;  ///< 0 = none (EXO2_SERVE_DEADLINE)

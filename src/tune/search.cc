@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <iostream>
 #include <limits>
 #include <unordered_set>
 
@@ -12,7 +11,6 @@
 #include "src/obs/trace.h"
 #include "src/tune/actions.h"
 #include "src/tune/tune.h"
-#include "src/util/env.h"
 #include "src/util/rng.h"
 #include "src/verify/cjit.h"
 #include "src/verify/oracle.h"
@@ -90,22 +88,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         throw SchedulingError("autotune: null proc");
 
     TuneOpts opts = opts_in;
-    opts.beam_width = static_cast<int>(
-        util::env_int("EXO2_TUNE_BEAM", opts.beam_width, 1, 1000000));
-    opts.max_rounds = static_cast<int>(util::env_int(
-        "EXO2_TUNE_ROUNDS", opts.max_rounds, 0, 1000000));
-    opts.random_restarts = static_cast<int>(util::env_int(
-        "EXO2_TUNE_RESTARTS", opts.random_restarts, 0, 1000000));
-    opts.jit_topk = static_cast<int>(util::env_int(
-        "EXO2_TUNE_JIT_TOPK", opts.jit_topk, 0, 1000000));
-    opts.seed = static_cast<uint64_t>(util::env_int(
-        "EXO2_TUNE_SEED", static_cast<int64_t>(opts.seed), 0,
-        std::numeric_limits<int64_t>::max()));
-    opts.deadline_seconds =
-        util::env_double("EXO2_TUNE_DEADLINE", opts.deadline_seconds,
-                         0.0, 1e9);
-    opts.lint = util::env_flag("EXO2_TUNE_LINT", opts.lint);
-    bool verbose = util::env_flag("EXO2_TUNE_VERBOSE", false);
     if (opts.beam_width < 1)
         opts.beam_width = 1;
     if (opts.measure_sizes.empty())
@@ -197,24 +179,13 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                             rep.detail);
                     r.validated = true;
                 }
-                if (verbose) {
-                    std::cerr << "autotune[" << p->name()
-                              << "] cache hit: " << r.cost
-                              << " cycles, " << r.script.size()
-                              << " steps\n";
-                }
                 return r;
-            } catch (const std::exception& e) {
+            } catch (const std::exception&) {
                 // The entry passed its checksum but no longer replays
                 // or validates on this library — semantics drifted
                 // without a version bump, or damage the checksum
                 // cannot see. Quarantine it and search from scratch.
                 tcache.invalidate(tkey, "replay");
-                if (verbose) {
-                    std::cerr << "autotune[" << p->name()
-                              << "] cached entry rejected: " << e.what()
-                              << "\n";
-                }
             }
         }
     }
@@ -317,12 +288,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             candidates.resize(static_cast<size_t>(opts.beam_width));
         beam = std::move(candidates);
         result.stats.rounds = round;
-        if (verbose) {
-            std::cerr << "autotune[" << p->name() << "] round " << round
-                      << ": best " << beam[0].cost << " cycles, "
-                      << result.stats.states_scored << " scored, "
-                      << result.stats.dedup_skips << " deduped\n";
-        }
         if (beam[0].cost < best_cost) {
             best_cost = beam[0].cost;
             stall = 0;
@@ -372,10 +337,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                 break;
             cur = std::move(best_next);
         }
-        if (verbose) {
-            std::cerr << "autotune[" << p->name() << "] restart " << r
-                      << ": reached " << cur.cost << " cycles\n";
-        }
     }
     }  // phase_search
 
@@ -397,19 +358,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         for (const State& st : ranked) {
             lint::LintReport lr = lint::lint_proc(st.proc);
             result.stats.lint_checked++;
-            if (verbose) {
-                std::cerr << "autotune[" << p->name() << "] lint "
-                          << (lr.has_errors() ? "PRUNE" : "pass ")
-                          << " cost=" << st.cost << " errors="
-                          << lr.count(lint::Severity::Error)
-                          << " warnings="
-                          << lr.count(lint::Severity::Warn) << " infos="
-                          << lr.count(lint::Severity::Info) << " proven="
-                          << lr.proven << "/" << lr.obligations
-                          << (lr.proven_safe() ? " safe" : "") << "\n";
-                if (!lr.diags.empty())
-                    std::cerr << lr.to_text();
-            }
             if (lr.has_errors()) {
                 lint_rejected.insert(st.digest);
                 result.stats.lint_pruned++;
@@ -432,7 +380,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                             ranked.size());
         std::vector<std::pair<double, size_t>> order;
         verify::SandboxLimits limits = verify::SandboxLimits::defaults();
-        bool sandboxed = verify::sandbox_enabled();
         for (size_t i = 0; i < k; i++) {
             if (past_deadline()) {
                 // Skip the remaining measurements; the states already
@@ -451,55 +398,27 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                 // Candidates are untrusted generated code: measure in
                 // the fault sandbox so a kernel that SIGSEGVs or never
                 // terminates is scored infeasible — the search keeps
-                // going — instead of killing the tuner. EXO2_SANDBOX=0
-                // selects the trusted in-process fast path.
-                double per;
-                if (sandboxed) {
-                    verify::TimedOutcome to = cp.time_per_call_sandboxed(
-                        in.args, 0.05, 100000, limits);
-                    if (!to.ok) {
-                        result.stats.jit_faults++;
-                        if (verbose) {
-                            std::cerr << "autotune[" << p->name()
-                                      << "] jit rank " << i
-                                      << " faulted: "
-                                      << to.fault.to_string() << "\n";
-                        }
-                        continue;
-                    }
-                    per = to.seconds_per_call;
-                } else {
-                    per = cp.time_per_call(in.args, 0.05, 100000);
+                // going — instead of killing the tuner.
+                verify::TimedOutcome to = cp.time_per_call_sandboxed(
+                    in.args, 0.05, 100000, limits);
+                if (!to.ok) {
+                    result.stats.jit_faults++;
+                    continue;
                 }
-                measured[i] = per;
-                order.emplace_back(per, i);
+                measured[i] = to.seconds_per_call;
+                order.emplace_back(to.seconds_per_call, i);
                 result.stats.jit_measured++;
-                if (verbose) {
-                    std::cerr << "autotune[" << p->name()
-                              << "] jit rank " << i << ": "
-                              << per * 1e6 << " us/call (cost "
-                              << ranked[i].cost << ")\n";
-                }
-            } catch (const verify::FaultError& e) {
+            } catch (const verify::FaultError&) {
                 // Build-phase fault (compiler failure/timeout, dlopen
                 // failure): structured, counted, non-fatal.
                 result.stats.jit_faults++;
-                if (verbose) {
-                    std::cerr << "autotune[" << p->name()
-                              << "] jit rank " << i << " faulted: "
-                              << e.fault().to_string() << "\n";
-                }
-            } catch (const std::exception& e) {
+            } catch (const ConfigError&) {
+                throw;  // a misconfigured host fails every candidate
+            } catch (const std::exception&) {
                 // A candidate the cost model accepted but the C
                 // backend rejects (VerifyError from the compiler,
                 // SchedulingError from codegen checks) is skipped, not
                 // fatal — same tolerance the tri-oracle applies.
-                if (verbose) {
-                    std::cerr << "autotune[" << p->name()
-                              << "] jit rank " << i
-                              << " failed to compile: " << e.what()
-                              << "\n";
-                }
             }
         }
         // Re-rank the measured prefix by wall clock (unmeasured states
@@ -559,12 +478,6 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             result.stats.validate_rejects++;
             if (rep.is_fault())
                 result.stats.validate_faults++;
-            if (verbose) {
-                std::cerr << "autotune[" << p->name()
-                          << "] candidate " << i
-                          << " failed validation: " << rep.detail
-                          << "\n";
-            }
         }
         result.validated = found;
         if (!found)

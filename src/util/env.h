@@ -16,12 +16,14 @@
  *    accepted range — a misconfigured worker fails loudly at startup
  *    instead of running with a nonsense limit.
  *
- * Knobs consolidated here: EXO2_CJIT_TIMEOUT, EXO2_SANDBOX_WALL,
- * EXO2_SANDBOX, EXO2_TUNE_* (beam/rounds/restarts/topk/seed/verbose),
- * EXO2_CACHE_DIR, and the EXO2_SERVE_* family (workers, queue,
- * deadline). EXO2_FAULTS keeps its own structured parser
- * (sandbox.h: parse_fault_spec) and EXO2_NATIVE_ISA its enum
- * validation (cjit.h), both already strict.
+ * Knobs read here: EXO2_CJIT_TIMEOUT, EXO2_SANDBOX_WALL,
+ * EXO2_NATIVE_ISA (validated by cjit_env_isa), EXO2_CACHE_DIR,
+ * EXO2_TRACE/EXO2_TRACE_RING, and the EXO2_SERVE_* family (socket,
+ * workers, queue, deadline, retries). EXO2_FAULTS keeps its own
+ * structured parser (sandbox.h: parse_fault_spec). These are
+ * deployment settings; library behaviour is set by explicit options
+ * (TuneOpts, ServeConfig), and scripts/check_env_reads.sh keeps the
+ * set of readers fixed.
  */
 
 #include <cstdint>

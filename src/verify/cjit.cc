@@ -17,6 +17,7 @@
 #include "src/cache/cache.h"
 #include "src/codegen/c_codegen.h"
 #include "src/ir/errors.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
 #include "src/verify/marshal.h"
@@ -93,6 +94,7 @@ namespace {
 
 std::mutex g_downgrade_mu;
 std::vector<IsaDowngrade> g_downgrades;
+obs::Counter& g_downgrade_count = obs::counter("cjit.isa_downgrades");
 
 void
 record_downgrade(const std::string& proc_name, NativeIsa requested,
@@ -103,16 +105,9 @@ record_downgrade(const std::string& proc_name, NativeIsa requested,
     d.requested = requested;
     d.used = used;
     d.reason = reason;
-    {
-        std::lock_guard<std::mutex> lk(g_downgrade_mu);
-        g_downgrades.push_back(d);
-    }
-    if (std::getenv("EXO2_VERBOSE_DOWNGRADES")) {
-        std::fprintf(stderr,
-                     "exo2: ISA downgrade for '%s': %s -> %s (%s)\n",
-                     proc_name.c_str(), native_isa_name(requested),
-                     native_isa_name(used), reason.c_str());
-    }
+    std::lock_guard<std::mutex> lk(g_downgrade_mu);
+    g_downgrades.push_back(d);
+    g_downgrade_count.inc();
 }
 
 /** Next step down the chain: avx512 -> avx2 -> scalar. */
@@ -153,13 +148,13 @@ clear_isa_downgrades()
 {
     std::lock_guard<std::mutex> lk(g_downgrade_mu);
     g_downgrades.clear();
+    g_downgrade_count.reset();
 }
 
 NativeIsa
 cjit_env_isa()
 {
-    const char* e = std::getenv("EXO2_NATIVE_ISA");
-    std::string v = e ? e : "";
+    std::string v = util::env_string("EXO2_NATIVE_ISA", "");
     for (char& c : v)
         c = static_cast<char>(tolower(static_cast<unsigned char>(c)));
     if (v.empty() || v == "scalar" || v == "off" || v == "0")
@@ -179,8 +174,8 @@ cjit_env_isa()
         // one worker of a fleet should cost performance, not service.
         return degrade_to_supported("EXO2_NATIVE_ISA", isa);
     }
-    throw VerifyError("unrecognized EXO2_NATIVE_ISA value '" + v +
-                      "' (expected scalar, avx2, avx512, or auto)");
+    throw ConfigError("EXO2_NATIVE_ISA='" + v +
+                      "': expected scalar, avx2, avx512, or auto");
 }
 
 namespace {

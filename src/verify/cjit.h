@@ -68,7 +68,7 @@ const char* native_isa_name(NativeIsa isa);
  *  gives Scalar, "auto" the best supported ISA. An explicit
  *  "avx2"/"avx512" the CPU lacks degrades to the best supported ISA
  *  with a recorded downgrade (it used to throw). Unrecognized values
- *  still throw VerifyError. */
+ *  throw ConfigError. */
 NativeIsa cjit_env_isa();
 
 /** Whether the running CPU can execute code for `isa`. */
@@ -84,7 +84,8 @@ struct IsaDowngrade
 };
 
 /** Every downgrade recorded since process start (or the last clear),
- *  oldest first. */
+ *  oldest first. The `cjit.isa_downgrades` registry counter tracks
+ *  the same count (obs/metrics.h); clearing resets it. */
 std::vector<IsaDowngrade> isa_downgrades();
 void clear_isa_downgrades();
 

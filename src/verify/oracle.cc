@@ -230,25 +230,19 @@ tri_oracle_check(const ProcPtr& original, const ProcPtr& scheduled,
     }
 
     // Oracle 2: compiled C for the scheduled proc. The candidate is
-    // untrusted generated code: by default it executes in the fault
-    // sandbox (forked child, rlimits, watchdog) so a miscompiled
-    // kernel that crashes or never terminates becomes a structured
-    // fault in the report instead of killing the driver. EXO2_SANDBOX=0
-    // selects the trusted in-process fast path.
+    // untrusted generated code: it executes in the fault sandbox
+    // (forked child, rlimits, watchdog) so a miscompiled kernel that
+    // crashes or never terminates becomes a structured fault in the
+    // report instead of killing the calling process.
     OracleInputs cc = clone_inputs(original, master);
     try {
-        CompiledProc compiled(scheduled);
-        if (sandbox_enabled()) {
-            SandboxOutcome so = compiled.run_sandboxed(cc.args);
-            if (!so.ok) {
-                rep.ok = false;
-                rep.fault = so.fault;
-                rep.detail = "C oracle faulted on the scheduled proc: " +
-                             so.fault.to_string();
-                return rep;
-            }
-        } else {
-            compiled.run(cc.args);
+        SandboxOutcome so = CompiledProc(scheduled).run_sandboxed(cc.args);
+        if (!so.ok) {
+            rep.ok = false;
+            rep.fault = so.fault;
+            rep.detail = "C oracle faulted on the scheduled proc: " +
+                         so.fault.to_string();
+            return rep;
         }
     } catch (const FaultError& e) {
         // Build-phase fault: the compiler failed/hung or the object
@@ -258,6 +252,8 @@ tri_oracle_check(const ProcPtr& original, const ProcPtr& scheduled,
         rep.detail = "C oracle faulted on the scheduled proc: " +
                      e.fault().to_string();
         return rep;
+    } catch (const ConfigError&) {
+        throw;  // a misconfigured host, not a divergent schedule
     } catch (const std::exception& e) {
         rep.ok = false;
         rep.detail =

@@ -13,8 +13,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/env.h"
 #include "src/util/rng.h"
@@ -157,12 +159,6 @@ SandboxLimits::defaults()
     l.wall_seconds = util::env_double("EXO2_SANDBOX_WALL",
                                       l.wall_seconds, 0.01, 86400.0);
     return l;
-}
-
-bool
-sandbox_enabled()
-{
-    return util::env_flag("EXO2_SANDBOX", true);
 }
 
 namespace {
@@ -309,8 +305,34 @@ struct Injector
     FaultSpec spec;
     bool active = false;
     XorShiftRng rng{1};
-    FaultInjectionCounts counts;
 };
+
+/** One injectable fault class: its spec key, probability, fired count,
+ *  and registry counter. Indexed by FaultSite. */
+struct FaultClass
+{
+    const char* key;
+    double FaultSpec::*prob;
+    uint64_t FaultInjectionCounts::*fired;
+    const char* metric;
+};
+
+#define EXO2_FAULT_CLASS(k)                                               \
+    {#k, &FaultSpec::k, &FaultInjectionCounts::k, "faults." #k}
+const FaultClass kFaultClasses[] = {
+    EXO2_FAULT_CLASS(compile_fail),  EXO2_FAULT_CLASS(compile_slow),
+    EXO2_FAULT_CLASS(dlopen_fail),   EXO2_FAULT_CLASS(isa_fail),
+    EXO2_FAULT_CLASS(sigsegv),       EXO2_FAULT_CLASS(sigfpe),
+    EXO2_FAULT_CLASS(sigill),        EXO2_FAULT_CLASS(hang),
+    EXO2_FAULT_CLASS(cache_corrupt), EXO2_FAULT_CLASS(cache_stale),
+    EXO2_FAULT_CLASS(queue_full),
+};
+#undef EXO2_FAULT_CLASS
+static_assert(std::size(kFaultClasses) ==
+                  static_cast<size_t>(FaultSite::QueueFull) + 1,
+              "one fault class per FaultSite");
+
+obs::Counter& g_fired = obs::counter("faults.fired");
 
 std::mutex g_injector_mu;
 Injector g_injector;
@@ -335,17 +357,10 @@ ensure_env_loaded_locked()
 double*
 spec_field(FaultSpec& s, const std::string& key)
 {
-    if (key == "compile_fail") return &s.compile_fail;
-    if (key == "compile_slow") return &s.compile_slow;
-    if (key == "dlopen_fail") return &s.dlopen_fail;
-    if (key == "isa_fail") return &s.isa_fail;
-    if (key == "sigsegv") return &s.sigsegv;
-    if (key == "sigfpe") return &s.sigfpe;
-    if (key == "sigill") return &s.sigill;
-    if (key == "hang") return &s.hang;
-    if (key == "cache_corrupt") return &s.cache_corrupt;
-    if (key == "cache_stale") return &s.cache_stale;
-    if (key == "queue_full") return &s.queue_full;
+    for (const FaultClass& fc : kFaultClasses) {
+        if (key == fc.key)
+            return &(s.*fc.prob);
+    }
     return nullptr;
 }
 
@@ -409,15 +424,11 @@ std::string
 fault_spec_to_string(const FaultSpec& spec)
 {
     std::string s = "seed=" + std::to_string(spec.seed);
-    FaultSpec mut = spec;
-    for (const char* key :
-         {"compile_fail", "compile_slow", "dlopen_fail", "isa_fail",
-          "sigsegv", "sigfpe", "sigill", "hang", "cache_corrupt",
-          "cache_stale", "queue_full"}) {
-        double v = *spec_field(mut, key);
+    for (const FaultClass& fc : kFaultClasses) {
+        double v = spec.*fc.prob;
         if (v > 0) {
             char buf[48];
-            std::snprintf(buf, sizeof(buf), ",%s=%g", key, v);
+            std::snprintf(buf, sizeof(buf), ",%s=%g", fc.key, v);
             s += buf;
         }
     }
@@ -464,75 +475,30 @@ fault_should_inject(FaultSite site)
     ensure_env_loaded_locked();
     if (!g_injector.active)
         return false;
-    const FaultSpec& s = g_injector.spec;
-    double p = 0;
-    uint64_t* counter = nullptr;
-    switch (site) {
-      case FaultSite::CompileFail:
-        p = s.compile_fail;
-        counter = &g_injector.counts.compile_fail;
-        break;
-      case FaultSite::CompileSlow:
-        p = s.compile_slow;
-        counter = &g_injector.counts.compile_slow;
-        break;
-      case FaultSite::DlopenFail:
-        p = s.dlopen_fail;
-        counter = &g_injector.counts.dlopen_fail;
-        break;
-      case FaultSite::IsaFail:
-        p = s.isa_fail;
-        counter = &g_injector.counts.isa_fail;
-        break;
-      case FaultSite::Sigsegv:
-        p = s.sigsegv;
-        counter = &g_injector.counts.sigsegv;
-        break;
-      case FaultSite::Sigfpe:
-        p = s.sigfpe;
-        counter = &g_injector.counts.sigfpe;
-        break;
-      case FaultSite::Sigill:
-        p = s.sigill;
-        counter = &g_injector.counts.sigill;
-        break;
-      case FaultSite::Hang:
-        p = s.hang;
-        counter = &g_injector.counts.hang;
-        break;
-      case FaultSite::CacheCorrupt:
-        p = s.cache_corrupt;
-        counter = &g_injector.counts.cache_corrupt;
-        break;
-      case FaultSite::CacheStale:
-        p = s.cache_stale;
-        counter = &g_injector.counts.cache_stale;
-        break;
-      case FaultSite::QueueFull:
-        p = s.queue_full;
-        counter = &g_injector.counts.queue_full;
-        break;
-    }
-    if (p <= 0)
+    const FaultClass& fc = kFaultClasses[static_cast<size_t>(site)];
+    double p = g_injector.spec.*fc.prob;
+    if (p <= 0 || g_injector.rng.unit() >= p)
         return false;
-    if (g_injector.rng.unit() >= p)
-        return false;
-    (*counter)++;
+    obs::counter(fc.metric).inc();
+    g_fired.inc();
     return true;
 }
 
 FaultInjectionCounts
 fault_injection_counts()
 {
-    std::lock_guard<std::mutex> lk(g_injector_mu);
-    return g_injector.counts;
+    FaultInjectionCounts c;
+    for (const FaultClass& fc : kFaultClasses)
+        c.*fc.fired = obs::counter(fc.metric).value();
+    return c;
 }
 
 void
 reset_fault_injection_counts()
 {
-    std::lock_guard<std::mutex> lk(g_injector_mu);
-    g_injector.counts = FaultInjectionCounts();
+    for (const FaultClass& fc : kFaultClasses)
+        obs::counter(fc.metric).reset();
+    g_fired.reset();
 }
 
 }  // namespace verify

@@ -25,9 +25,9 @@
  *    degradation chain), and generated kernels crash or spin, so tests
  *    can prove each consumer degrades instead of dying.
  *
- * Environment knobs: `EXO2_FAULTS` (spec string, see parse_fault_spec),
- * `EXO2_SANDBOX_WALL` (watchdog seconds for SandboxLimits::defaults),
- * `EXO2_SANDBOX=0` (consumers fall back to trusted in-process runs).
+ * Environment knobs: `EXO2_FAULTS` (spec string, see parse_fault_spec)
+ * and `EXO2_SANDBOX_WALL` (watchdog seconds for
+ * SandboxLimits::defaults). Consumers always sandbox untrusted runs.
  */
 
 #include <cstdint>
@@ -120,10 +120,6 @@ SandboxOutcome sandbox_call(void (*entry)(void**), const ProcPtr& proc,
                             const std::vector<RunArg>& args, int iters,
                             const SandboxLimits& limits);
 
-/** Whether consumers should sandbox untrusted runs: true unless
- *  `EXO2_SANDBOX` is set to `0`/`off` (trusted in-process mode). */
-bool sandbox_enabled();
-
 // ---------------------------------------------------------------------------
 // Deterministic fault injection
 // ---------------------------------------------------------------------------
@@ -196,7 +192,8 @@ void clear_fault_spec();
 /** The active spec (all-zero when injection is off). */
 FaultSpec current_fault_spec();
 
-/** Injection sites, in pipeline order. */
+/** Injection sites, in pipeline order (sandbox.cc's fault-class table
+ *  follows this order). */
 enum class FaultSite {
     CompileFail,
     CompileSlow,
@@ -216,7 +213,9 @@ enum class FaultSite {
 bool fault_should_inject(FaultSite site);
 
 /** How many times each site fired since the last reset — lets tests
- *  and gates prove injection actually happened (no vacuous passes). */
+ *  and gates prove injection actually happened (no vacuous passes). A
+ *  view of the `faults.<site>` registry counters; `faults.fired`
+ *  counts every firing (obs/metrics.h). */
 struct FaultInjectionCounts
 {
     uint64_t compile_fail = 0;

@@ -27,7 +27,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/analysis/memo.h"
 #include "src/ir/errors.h"
+#include "src/ir/interner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/obs.h"
 #include "src/obs/phase.h"
@@ -545,8 +547,7 @@ class ObsDaemonTest : public ObsTest
     {
         ObsTest::SetUp();
         for (const char* v :
-             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_TUNE_DEADLINE",
-              "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
+             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
               "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
               "EXO2_SERVE_RETRIES"})
             unsetenv(v);
@@ -652,6 +653,86 @@ TEST_F(ObsDaemonTest, MetricsEndpointReturnsRegistryWithPercentiles)
     ASSERT_NE(sresp.extra.find("latency_p99_ms"), sresp.extra.end());
     EXPECT_GE(std::stoull(sresp.extra["latency_count"]), 1u);
     EXPECT_GT(std::stod(sresp.extra["latency_p50_ms"]), 0.0);
+
+    d.stop();
+}
+
+/** Value of counter `name` in a metrics_json() snapshot; -1 when the
+ *  snapshot does not carry it. */
+int64_t
+json_counter(const std::string& js, const std::string& name)
+{
+    std::string key = "\"" + name + "\":";
+    size_t at = js.find(key);
+    return at == std::string::npos ? -1
+                                   : std::stoll(js.substr(at + key.size()));
+}
+
+TEST_F(ObsDaemonTest, MetricsReadEngineCountersWhileATuneRuns)
+{
+    serve::ServeConfig cfg;
+    cfg.socket_path = "/tmp/exo2_obs_" + std::to_string(getpid()) +
+                      "_c.sock";
+    cfg.workers = 2;
+    serve::Daemon d(cfg);
+    d.start();
+
+    // op=metrics answers inline on its connection thread while the
+    // worker's tune bumps the engine counters: the snapshot must be a
+    // race-free read (TSan runs this test).
+    std::atomic<bool> done{false};
+    int snapshots = 0;
+    std::thread poller([&] {
+        serve::ServeClient client(cfg.socket_path);
+        serve::ServeRequest m;
+        m.op = "metrics";
+        do {
+            m.id = "m" + std::to_string(snapshots++);
+            serve::ServeResponse r = client.call_with_retry(m);
+            ASSERT_TRUE(r.ok()) << r.detail;
+        } while (!done.load());
+    });
+    serve::ServeClient client(cfg.socket_path);
+    serve::ServeRequest req;
+    req.id = "tune";
+    req.op = "tune";
+    req.kernel = "saxpy";
+    req.sizes = "n=256";
+    req.beam = 2;
+    req.rounds = 2;
+    req.restarts = 0;
+    req.jit_topk = 0;
+    req.validate = 0;
+    serve::ServeResponse resp = client.call_with_retry(req);
+    done = true;
+    poller.join();
+    EXPECT_TRUE(resp.ok()) << resp.detail;
+    EXPECT_GE(snapshots, 1);
+
+    // Idle now: a snapshot agrees with the typed stats views exactly.
+    serve::ServeRequest mreq;
+    mreq.id = "final";
+    mreq.op = "metrics";
+    serve::ServeResponse mresp = client.call_with_retry(mreq);
+    ASSERT_TRUE(mresp.ok()) << mresp.detail;
+    const std::string& js = mresp.extra["metrics"];
+    AnalysisMemoStats memo = analysis_memo_stats();
+    InternerStats intern = expr_interner_stats();
+    const std::pair<const char*, uint64_t> want[] = {
+        {"analysis.affine_hits", memo.affine_hits},
+        {"analysis.affine_misses", memo.affine_misses},
+        {"analysis.linear_hits", memo.linear_hits},
+        {"analysis.linear_misses", memo.linear_misses},
+        {"analysis.effects_hits", memo.effects_hits},
+        {"analysis.effects_misses", memo.effects_misses},
+        {"ir.intern_hits", intern.hits},
+        {"ir.intern_misses", intern.misses},
+    };
+    for (const auto& [name, value] : want)
+        EXPECT_EQ(json_counter(js, name), static_cast<int64_t>(value))
+            << name;
+    EXPECT_GT(intern.hits, 0u);
+    EXPECT_GT(memo.affine_hits + memo.affine_misses, 0u);
 
     d.stop();
 }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/frontend/parser.h"
+#include "src/ir/errors.h"
 #include "src/kernels/blas.h"
 #include "src/machine/machine.h"
 #include "src/sched/blas.h"
@@ -380,6 +381,23 @@ TEST_F(SandboxTest, UnsupportedEnvIsaDegradesInsteadOfThrowing)
     auto log = verify::isa_downgrades();
     ASSERT_GE(log.size(), 1u);
     EXPECT_EQ(log.back().requested, NativeIsa::Avx512);
+}
+
+TEST_F(SandboxTest, UnrecognizedEnvIsaIsAConfigError)
+{
+    // A typo must fail as configuration, not surface as every tuner
+    // candidate silently failing to compile.
+    setenv("EXO2_NATIVE_ISA", "avx3", 1);
+    EXPECT_THROW(verify::cjit_env_isa(), ConfigError);
+    tune::TuneOpts o;
+    o.tune_sizes = {{"n", 64}};
+    o.beam_width = 1;
+    o.max_rounds = 1;
+    o.jit_topk = 1;
+    EXPECT_THROW(tune::autotune(kernels::find_kernel("saxpy").proc,
+                                machine_avx2(), o),
+                 ConfigError);
+    unsetenv("EXO2_NATIVE_ISA");
 }
 
 // ---- 4. Consumers complete under injection ------------------------------

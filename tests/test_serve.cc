@@ -85,8 +85,7 @@ class ServeTest : public ::testing::Test
     void SetUp() override
     {
         for (const char* v :
-             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_TUNE_DEADLINE",
-              "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
+             {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
               "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
               "EXO2_SERVE_RETRIES"})
             unsetenv(v);
@@ -428,6 +427,48 @@ TEST_F(ServeTest, DeadlineProducesDegradedAnswerNotError)
 
     d.stop();
     EXPECT_EQ(d.stats().errors, 0u);
+}
+
+TEST_F(ServeTest, ExpiredInQueueSearchesNothingDespiteTuneEnv)
+{
+    // Variables an older tuner read as overrides must not revive the
+    // search budget the "deadline expired" rung takes away.
+    const char* const kStale[][2] = {{"EXO2_TUNE_ROUNDS", "5"},
+                                     {"EXO2_TUNE_BEAM", "1"},
+                                     {"EXO2_TUNE_DEADLINE", "1000"}};
+    for (const auto& kv : kStale)
+        setenv(kv[0], kv[1], 1);
+    ServeConfig cfg = test_config("expired");
+    cfg.workers = 1;
+    Daemon d(cfg);
+    d.start();
+
+    // Hold the only worker with a long search, then queue a request
+    // whose 1 ms budget runs out while it waits.
+    ServeResponse slow;
+    std::thread t([&] {
+        ServeClient client(cfg.socket_path);
+        ServeRequest req = tune_request();
+        req.rounds = 8;
+        req.restarts = 2;
+        ASSERT_TRUE(client.call(req, &slow));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ServeClient client(cfg.socket_path);
+    ServeRequest req = tune_request();
+    req.id = "late";
+    req.deadline_ms = 1;
+    ServeResponse resp;
+    EXPECT_TRUE(client.call(req, &resp));
+    t.join();
+    d.stop();
+    for (const auto& kv : kStale)
+        unsetenv(kv[0]);
+
+    EXPECT_TRUE(slow.ok()) << slow.status << ": " << slow.detail;
+    EXPECT_TRUE(resp.degraded()) << resp.status << ": " << resp.detail;
+    EXPECT_EQ(resp.detail, "deadline expired before search began");
+    EXPECT_EQ(resp.script, "");  // zero rounds: the naive schedule
 }
 
 TEST_F(ServeTest, ShutdownRequestDrainsGracefully)

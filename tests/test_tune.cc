@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "src/frontend/parser.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
@@ -280,6 +282,37 @@ TEST(TuneSearch, RejectsMissingAndInvalidSizes)
     ob.tune_sizes = {{"H", 7}, {"W", 100}};
     EXPECT_THROW(tune::autotune(kernels::blur(), machine_avx2(), ob),
                  SchedulingError);
+}
+
+TEST(TuneSearch, EnvironmentNeverOverridesExplicitOpts)
+{
+    // Variables an older build read as overrides; a shell may still
+    // export them. TuneOpts must mean exactly what it says regardless.
+    const char* const kStale[][2] = {{"EXO2_TUNE_ROUNDS", "5"},
+                                     {"EXO2_TUNE_BEAM", "1"},
+                                     {"EXO2_TUNE_DEADLINE", "1000"}};
+    ProcPtr p = kernels::find_kernel("saxpy").proc;
+    TuneOpts o;
+    o.tune_sizes = {{"n", 512}};
+    o.beam_width = 3;
+    o.max_rounds = 2;
+    o.validate = false;
+    tune::TuneResult clean = tune::autotune(p, machine_avx2(), o);
+
+    for (const auto& kv : kStale)
+        setenv(kv[0], kv[1], 1);
+    tune::TuneResult r = tune::autotune(p, machine_avx2(), o);
+    TuneOpts cut = o;
+    cut.deadline_seconds = 1e-9;  // expires before the first round
+    tune::TuneResult rc = tune::autotune(p, machine_avx2(), cut);
+    for (const auto& kv : kStale)
+        unsetenv(kv[0]);
+
+    EXPECT_LE(r.stats.rounds, 2);
+    EXPECT_EQ(r.stats.states_scored, clean.stats.states_scored);
+    EXPECT_EQ(verify::script_to_string(r.script),
+              verify::script_to_string(clean.script));
+    EXPECT_TRUE(rc.degraded);
 }
 
 TEST(TuneSearch, JitRerankSmoke)
