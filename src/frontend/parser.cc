@@ -6,6 +6,7 @@
 #include "src/frontend/lexer.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
+#include "src/obs/trace.h"
 
 namespace exo2 {
 
@@ -333,6 +334,11 @@ Parser::parse_stmt()
         ProcPtr callee = find_proc(name);
         if (!callee && !lenient_)
             error("call to unknown procedure '" + name + "'");
+        if (callee && callee->args().size() != args.size()) {
+            error("call to '" + name + "' passes " +
+                  std::to_string(args.size()) + " arguments; it takes " +
+                  std::to_string(callee->args().size()));
+        }
         auto call = Stmt::make_call(callee, std::move(args));
         if (!callee)
             call = call->with_name(name);  // pattern: match by name
@@ -551,6 +557,7 @@ Parser::parse_full_expr()
 ProcPtr
 parse_proc(const std::string& src, const std::vector<ProcPtr>& procs)
 {
+    EXO2_SPAN("frontend.parse");
     Parser p(tokenize(src), procs, /*lenient=*/false);
     return p.parse_proc();
 }

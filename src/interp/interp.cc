@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/interp/walk.h"
 #include "src/ir/errors.h"
-#include "src/ir/printer.h"
+#include "src/obs/trace.h"
 
 namespace exo2 {
 
@@ -22,34 +23,10 @@ Buffer::Buffer(ScalarType type, std::vector<int64_t> dims)
     data_.assign(static_cast<size_t>(n), 0.0);
 }
 
-namespace {
-
-/** Round-to-storage conversion mirroring C assignment semantics. */
-double
-convert(ScalarType t, double v)
-{
-    switch (t) {
-      case ScalarType::F32:
-        return static_cast<double>(static_cast<float>(v));
-      case ScalarType::F64:
-        return v;
-      case ScalarType::I8:
-        return static_cast<double>(
-            static_cast<int8_t>(static_cast<int64_t>(v)));
-      case ScalarType::I32:
-        return static_cast<double>(
-            static_cast<int32_t>(static_cast<int64_t>(v)));
-      default:
-        return v;
-    }
-}
-
-}  // namespace
-
 void
 Buffer::set(int64_t flat, double v)
 {
-    data_.at(static_cast<size_t>(flat)) = convert(type_, v);
+    data_.at(static_cast<size_t>(flat)) = walk::convert(type_, v);
 }
 
 void
@@ -60,7 +37,7 @@ Buffer::fill_random(uint64_t seed)
         s = s * 6364136223846793005ull + 1442695040888963407ull;
         double u = static_cast<double>((s >> 16) & 0xFFFFFF) /
                    static_cast<double>(0xFFFFFF);
-        v = convert(type_, 2.0 * u - 1.0);
+        v = walk::convert(type_, 2.0 * u - 1.0);
     }
 }
 
@@ -68,485 +45,126 @@ void
 Buffer::fill(double v)
 {
     for (auto& x : data_)
-        x = convert(type_, v);
+        x = walk::convert(type_, v);
 }
 
 namespace {
 
-std::map<std::string, ExternFn>&
-extern_registry()
-{
-    static std::map<std::string, ExternFn> reg = [] {
-        std::map<std::string, ExternFn> r;
-        r["relu"] = [](const std::vector<double>& a) {
-            return a.at(0) > 0 ? a.at(0) : 0.0;
-        };
-        r["clamp_i8"] = [](const std::vector<double>& a) {
-            return std::max(-128.0, std::min(127.0, std::round(a.at(0))));
-        };
-        r["acc_scale"] = [](const std::vector<double>& a) {
-            return a.at(0) * a.at(1);
-        };
-        r["select"] = [](const std::vector<double>& a) {
-            // select(cond_ge, x, y): x if cond >= 0 else y
-            return a.at(0) >= 0 ? a.at(1) : a.at(2);
-        };
-        r["sqrt"] = [](const std::vector<double>& a) {
-            return std::sqrt(a.at(0));
-        };
-        r["abs"] = [](const std::vector<double>& a) {
-            return std::fabs(a.at(0));
-        };
-        return r;
-    }();
-    return reg;
-}
+using ExternFn = double (*)(const std::vector<double>&);
 
-/** A strided view into a Buffer. */
-struct View
-{
-    Buffer* buf = nullptr;
-    int64_t offset = 0;
-    std::vector<int64_t> dims;
-    std::vector<int64_t> strides;
+/** Extern scalar functions; kept in lockstep with codegen's
+ *  extern_c_impls() so every extern both interprets and compiles. */
+const std::map<std::string, ExternFn> kExterns = {
+    {"relu",
+     [](const std::vector<double>& a) { return a.at(0) > 0 ? a.at(0) : 0.0; }},
+    {"clamp_i8",
+     [](const std::vector<double>& a) {
+         return std::max(-128.0, std::min(127.0, std::round(a.at(0))));
+     }},
+    {"acc_scale",
+     [](const std::vector<double>& a) { return a.at(0) * a.at(1); }},
+    // select(cond_ge, x, y): x if cond >= 0 else y
+    {"select",
+     [](const std::vector<double>& a) {
+         return a.at(0) >= 0 ? a.at(1) : a.at(2);
+     }},
+    {"sqrt", [](const std::vector<double>& a) { return std::sqrt(a.at(0)); }},
+    {"abs", [](const std::vector<double>& a) { return std::fabs(a.at(0)); }},
+};
 
-    int64_t flatten(const std::vector<int64_t>& idx) const
+/** The value domain of the shared walker (walk.h): real buffers, every
+ *  dynamic check on, values rounded as the C backend computes them. */
+struct InterpDomain
+{
+    static constexpr const char* kName = "interp";
+    static constexpr bool kChecked = true;
+    static constexpr bool kValues = true;
+    using Store = Buffer*;
+
+    /** Local buffers of the enclosing blocks, innermost last. */
+    std::vector<std::unique_ptr<Buffer>> locals;
+
+    /** Frees the buffers a block allocated when the block exits. */
+    struct Scope
     {
-        if (idx.size() != dims.size()) {
-            throw InternalError("interp: access arity mismatch on view (" +
-                                std::to_string(idx.size()) + " vs " +
-                                std::to_string(dims.size()) + ")");
-        }
-        int64_t f = offset;
-        for (size_t d = 0; d < idx.size(); d++) {
-            if (idx[d] < 0 || idx[d] >= dims[d]) {
-                throw InternalError(
-                    "interp: out-of-bounds access: index " +
-                    std::to_string(idx[d]) + " not in [0, " +
-                    std::to_string(dims[d]) + ")");
-            }
-            f += idx[d] * strides[d];
-        }
-        if (f < 0 || f >= buf->size()) {
+        explicit Scope(InterpDomain& d) : dom(d), mark(d.locals.size()) {}
+        ~Scope() { dom.locals.resize(mark); }
+        InterpDomain& dom;
+        size_t mark;
+    };
+
+    static bool observes(Buffer*) { return true; }
+
+    static int64_t checked(const Buffer* b, int64_t flat)
+    {
+        if (flat < 0 || flat >= b->size()) {
             throw InternalError(
                 "interp: absolute access out of the underlying buffer");
         }
-        return f;
+        return flat;
     }
 
-    static View whole(Buffer* b)
+    double load(Buffer* b, int64_t flat) { return b->at(checked(b, flat)); }
+
+    void store(Buffer* b, int64_t flat, double v, bool reduce)
     {
-        View v;
-        v.buf = b;
-        v.dims = b->dims();
-        v.strides.assign(v.dims.size(), 1);
-        int64_t s = 1;
-        for (size_t d = v.dims.size(); d-- > 0;) {
-            v.strides[d] = s;
-            s *= v.dims[d];
-        }
-        return v;
-    }
-};
-
-/** Runtime binding of a name. */
-struct Binding
-{
-    enum class Kind { Index, Scalar, Buf } kind = Kind::Index;
-    int64_t index = 0;
-    double scalar = 0.0;
-    View view;
-};
-
-struct Frame
-{
-    std::map<std::string, Binding> names;
-    std::vector<std::unique_ptr<Buffer>> locals;
-};
-
-class Machine
-{
-  public:
-    std::map<std::string, double> config;
-
-    void run_proc(const ProcPtr& p, std::vector<Binding> args)
-    {
-        Frame frame;
-        const auto& formals = p->args();
-        if (args.size() != formals.size()) {
-            throw InternalError("interp: call arity mismatch in " +
-                                p->name());
-        }
-        for (size_t i = 0; i < formals.size(); i++)
-            frame.names[formals[i].name] = std::move(args[i]);
-        // Check asserts.
-        for (const auto& pred : p->preds()) {
-            if (eval(frame, pred) == 0.0) {
-                throw InternalError("interp: assertion failed in " +
-                                    p->name() + ": " + print_expr(pred));
-            }
-        }
-        exec_block(frame, p->body_stmts());
+        checked(b, flat);
+        if (reduce)
+            v += b->at(flat);
+        b->set(flat, v);
     }
 
-    double eval(Frame& f, const ExprPtr& e)
+    Buffer* alloc(const Stmt& s, const std::vector<int64_t>& dims)
     {
-        switch (e->kind()) {
-          case ExprKind::Const:
-            return e->const_value();
-          case ExprKind::Read: {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end()) {
-                throw InternalError("interp: unbound name '" + e->name() +
-                                    "'");
-            }
-            Binding& b = it->second;
-            if (b.kind == Binding::Kind::Index)
-                return static_cast<double>(b.index);
-            if (b.kind == Binding::Kind::Scalar)
-                return b.scalar;
-            std::vector<int64_t> idx;
-            idx.reserve(e->idx().size());
-            for (const auto& i : e->idx())
-                idx.push_back(eval_int(f, i));
-            return b.view.buf->at(b.view.flatten(idx));
-          }
-          case ExprKind::BinOp: {
-            double l = eval(f, e->lhs());
-            if (e->op() == BinOpKind::And)
-                return (l != 0.0 && eval(f, e->rhs()) != 0.0) ? 1.0 : 0.0;
-            if (e->op() == BinOpKind::Or)
-                return (l != 0.0 || eval(f, e->rhs()) != 0.0) ? 1.0 : 0.0;
-            double r = eval(f, e->rhs());
-            // The expression's declared type is the semantics: f32
-            // arithmetic rounds each operation to f32, exactly as the
-            // C backend compiles it (which builds with -ffp-contract
-            // off). Without this, mixed-precision kernels (sdsdot /
-            // dsdot: f32 products into an f64 accumulator) diverge
-            // between the interpreter and generated C.
-            auto fp = [&](double v) {
-                return e->type() == ScalarType::F32
-                           ? static_cast<double>(static_cast<float>(v))
-                           : v;
-            };
-            switch (e->op()) {
-              case BinOpKind::Add: return fp(l + r);
-              case BinOpKind::Sub: return fp(l - r);
-              case BinOpKind::Mul: return fp(l * r);
-              case BinOpKind::Div: {
-                if (e->type() == ScalarType::Index) {
-                    int64_t li = static_cast<int64_t>(l);
-                    int64_t ri = static_cast<int64_t>(r);
-                    if (ri == 0)
-                        throw InternalError("interp: division by zero");
-                    // floor division
-                    int64_t q = li / ri;
-                    if ((li % ri != 0) && ((li < 0) != (ri < 0)))
-                        q -= 1;
-                    return static_cast<double>(q);
-                }
-                return fp(l / r);
-              }
-              case BinOpKind::Mod: {
-                int64_t li = static_cast<int64_t>(l);
-                int64_t ri = static_cast<int64_t>(r);
-                if (ri == 0)
-                    throw InternalError("interp: modulo by zero");
-                int64_t m = li % ri;
-                if (m != 0 && ((li < 0) != (ri < 0)))
-                    m += ri;
-                return static_cast<double>(m);
-              }
-              case BinOpKind::Lt: return l < r ? 1.0 : 0.0;
-              case BinOpKind::Le: return l <= r ? 1.0 : 0.0;
-              case BinOpKind::Gt: return l > r ? 1.0 : 0.0;
-              case BinOpKind::Ge: return l >= r ? 1.0 : 0.0;
-              case BinOpKind::Eq: return l == r ? 1.0 : 0.0;
-              case BinOpKind::Ne: return l != r ? 1.0 : 0.0;
-              default:
-                throw InternalError("interp: bad binop");
-            }
-          }
-          case ExprKind::USub:
-            // Negation is exact in binary floating point; no rounding.
-            return -eval(f, e->lhs());
-          case ExprKind::Stride: {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end() ||
-                it->second.kind != Binding::Kind::Buf) {
-                throw InternalError("interp: stride() of non-buffer");
-            }
-            const View& v = it->second.view;
-            size_t d = static_cast<size_t>(e->stride_dim());
-            if (d >= v.strides.size())
-                throw InternalError("interp: stride() dim out of range");
-            return static_cast<double>(v.strides[d]);
-          }
-          case ExprKind::ReadConfig: {
-            auto key = e->name() + "." + e->field();
-            return config[key];
-          }
-          case ExprKind::Extern: {
-            auto& reg = extern_registry();
-            auto it = reg.find(e->name());
-            if (it == reg.end()) {
-                throw InternalError("interp: unknown extern '" +
-                                    e->name() + "'");
-            }
-            std::vector<double> args;
-            for (const auto& a : e->idx())
-                args.push_back(eval(f, a));
-            return it->second(args);
-          }
-          case ExprKind::Window:
-            throw InternalError("interp: window outside call argument");
-        }
-        throw InternalError("interp: unknown expr kind");
+        locals.push_back(std::make_unique<Buffer>(s.type(), dims));
+        return locals.back().get();
     }
 
-    int64_t eval_int(Frame& f, const ExprPtr& e)
-    {
-        return static_cast<int64_t>(eval(f, e));
-    }
+    /** Instructions run through their semantics bodies. */
+    bool price_instr(const InstrInfo&) { return false; }
+    void touch_arg(const walk::View<Buffer*>&) {}
+    void charge(walk::Charge) {}
 
-    View eval_view(Frame& f, const ExprPtr& e)
+    double call_extern(const std::string& name, const std::vector<double>& args)
     {
-        if (e->kind() == ExprKind::Read && e->idx().empty()) {
-            auto it = f.names.find(e->name());
-            if (it == f.names.end() ||
-                it->second.kind != Binding::Kind::Buf) {
-                throw InternalError("interp: '" + e->name() +
-                                    "' is not a buffer");
-            }
-            return it->second.view;
-        }
-        if (e->kind() != ExprKind::Window)
-            throw InternalError("interp: expected buffer or window arg");
-        auto it = f.names.find(e->name());
-        if (it == f.names.end() || it->second.kind != Binding::Kind::Buf)
-            throw InternalError("interp: window of non-buffer");
-        const View& base = it->second.view;
-        if (e->window_dims().size() != base.dims.size())
-            throw InternalError("interp: window arity mismatch");
-        View v;
-        v.buf = base.buf;
-        v.offset = base.offset;
-        for (size_t d = 0; d < base.dims.size(); d++) {
-            const WindowDim& wd = e->window_dims()[d];
-            int64_t lo = eval_int(f, wd.lo);
-            // Negative low bounds arise from range-masked instructions
-            // whose low lanes are masked off; the absolute bounds check
-            // in View::flatten catches any actual out-of-range access.
-            if (lo > base.dims[d]) {
-                throw InternalError("interp: window low bound " +
-                                    std::to_string(lo) + " out of range");
-            }
-            v.offset += lo * base.strides[d];
-            if (!wd.is_point()) {
-                int64_t hi = eval_int(f, wd.hi);
-                // Degenerate (empty / negative) windows are legal for
-                // fully-masked instructions: no lane may touch them.
-                if (hi < lo)
-                    hi = lo;
-                if (hi > base.dims[d]) {
-                    throw InternalError("interp: window high bound out of "
-                                        "range");
-                }
-                v.dims.push_back(hi - lo);
-                v.strides.push_back(base.strides[d]);
-            }
-        }
-        return v;
-    }
-
-    void exec_block(Frame& f, const std::vector<StmtPtr>& block)
-    {
-        // Scope allocations and window bindings to the block so that
-        // loops do not accumulate dead local buffers.
-        size_t mark = f.locals.size();
-        std::vector<std::pair<std::string, std::optional<Binding>>> saved;
-        for (const auto& s : block) {
-            if (s->kind() == StmtKind::Alloc ||
-                s->kind() == StmtKind::WindowDecl) {
-                auto it = f.names.find(s->name());
-                saved.emplace_back(s->name(),
-                                   it != f.names.end()
-                                       ? std::optional<Binding>(it->second)
-                                       : std::nullopt);
-            }
-            exec(f, s);
-        }
-        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            if (it->second)
-                f.names[it->first] = *it->second;
-            else
-                f.names.erase(it->first);
-        }
-        f.locals.resize(mark);
-    }
-
-    void exec(Frame& f, const StmtPtr& s)
-    {
-        switch (s->kind()) {
-          case StmtKind::Assign:
-          case StmtKind::Reduce: {
-            double v = eval(f, s->rhs());
-            auto it = f.names.find(s->name());
-            if (it == f.names.end()) {
-                throw InternalError("interp: unbound write target '" +
-                                    s->name() + "'");
-            }
-            Binding& b = it->second;
-            if (b.kind == Binding::Kind::Scalar) {
-                if (!s->idx().empty())
-                    throw InternalError("interp: indexing a scalar");
-                if (s->kind() == StmtKind::Reduce)
-                    b.scalar = convert(s->type(), b.scalar + v);
-                else
-                    b.scalar = convert(s->type(), v);
-                return;
-            }
-            if (b.kind != Binding::Kind::Buf)
-                throw InternalError("interp: writing a loop index");
-            std::vector<int64_t> idx;
-            idx.reserve(s->idx().size());
-            for (const auto& i : s->idx())
-                idx.push_back(eval_int(f, i));
-            int64_t flat = b.view.flatten(idx);
-            if (s->kind() == StmtKind::Reduce)
-                v += b.view.buf->at(flat);
-            b.view.buf->set(flat, v);
-            return;
-          }
-          case StmtKind::Alloc: {
-            std::vector<int64_t> dims;
-            for (const auto& d : s->dims())
-                dims.push_back(eval_int(f, d));
-            auto buf = std::make_unique<Buffer>(s->type(), dims);
-            Binding b;
-            if (dims.empty()) {
-                b.kind = Binding::Kind::Scalar;
-                b.scalar = 0.0;
-                f.names[s->name()] = b;
-                return;
-            }
-            b.kind = Binding::Kind::Buf;
-            b.view = View::whole(buf.get());
-            f.locals.push_back(std::move(buf));
-            f.names[s->name()] = b;
-            return;
-          }
-          case StmtKind::For: {
-            int64_t lo = eval_int(f, s->lo());
-            int64_t hi = eval_int(f, s->hi());
-            Binding iter;
-            iter.kind = Binding::Kind::Index;
-            auto saved = f.names.find(s->iter()) != f.names.end()
-                             ? std::optional<Binding>(f.names[s->iter()])
-                             : std::nullopt;
-            for (int64_t i = lo; i < hi; i++) {
-                iter.index = i;
-                f.names[s->iter()] = iter;
-                exec_block(f, s->body());
-            }
-            if (saved)
-                f.names[s->iter()] = *saved;
-            else
-                f.names.erase(s->iter());
-            return;
-          }
-          case StmtKind::If: {
-            if (eval(f, s->cond()) != 0.0)
-                exec_block(f, s->body());
-            else
-                exec_block(f, s->orelse());
-            return;
-          }
-          case StmtKind::Pass:
-            return;
-          case StmtKind::Call: {
-            const ProcPtr& callee = s->callee();
-            if (!callee)
-                throw InternalError("interp: unresolved call");
-            std::vector<Binding> args;
-            const auto& formals = callee->args();
-            if (formals.size() != s->args().size())
-                throw InternalError("interp: call arity mismatch");
-            for (size_t i = 0; i < formals.size(); i++) {
-                Binding b;
-                if (formals[i].dims.empty()) {
-                    if (formals[i].is_size ||
-                        formals[i].type == ScalarType::Index) {
-                        b.kind = Binding::Kind::Index;
-                        b.index = eval_int(f, s->args()[i]);
-                    } else {
-                        b.kind = Binding::Kind::Scalar;
-                        // Scalars round to the formal's type at the
-                        // call boundary, as C parameter passing does.
-                        b.scalar = convert(formals[i].type,
-                                           eval(f, s->args()[i]));
-                    }
-                } else {
-                    b.kind = Binding::Kind::Buf;
-                    b.view = eval_view(f, s->args()[i]);
-                }
-                args.push_back(std::move(b));
-            }
-            run_proc(callee, std::move(args));
-            return;
-          }
-          case StmtKind::WriteConfig: {
-            config[s->name() + "." + s->field()] = eval(f, s->rhs());
-            return;
-          }
-          case StmtKind::WindowDecl: {
-            Binding b;
-            b.kind = Binding::Kind::Buf;
-            b.view = eval_view(f, s->rhs());
-            f.names[s->name()] = b;
-            return;
-          }
-        }
-        throw InternalError("interp: unknown stmt kind");
+        auto it = kExterns.find(name);
+        if (it == kExterns.end())
+            throw InternalError("interp: unknown extern '" + name + "'");
+        return it->second(args);
     }
 };
 
 }  // namespace
 
 void
-register_extern(const std::string& name, ExternFn fn)
-{
-    extern_registry()[name] = std::move(fn);
-}
-
-void
 interp_run(const ProcPtr& p, const std::vector<RunArg>& args)
 {
-    Machine m;
-    std::vector<Binding> bindings;
+    EXO2_SPAN("interp.run", {{"proc", p->name()}});
+    using W = walk::Walker<InterpDomain>;
     const auto& formals = p->args();
     if (formals.size() != args.size())
         throw InternalError("interp_run: arity mismatch");
+    W::Frame frame;
     for (size_t i = 0; i < formals.size(); i++) {
-        Binding b;
+        W::Binding b;
         switch (args[i].kind) {
           case RunArg::Kind::Size:
-            b.kind = Binding::Kind::Index;
-            b.index = args[i].size;
+            b = W::Binding::make_index(args[i].size);
             break;
           case RunArg::Kind::Scalar:
-            b.kind = Binding::Kind::Scalar;
             // Round to the formal's type, as C parameter passing does.
-            b.scalar = convert(formals[i].type, args[i].scalar);
+            b = W::Binding::make_scalar(
+                walk::convert(formals[i].type, args[i].scalar));
             break;
           case RunArg::Kind::Buf:
-            b.kind = Binding::Kind::Buf;
-            b.view = View::whole(args[i].buf);
+            b = W::Binding::make_buf(
+                W::View::whole(args[i].buf, args[i].buf->dims()));
             break;
         }
-        bindings.push_back(std::move(b));
+        frame[formals[i].name] = std::move(b);
     }
-    m.run_proc(p, std::move(bindings));
+    InterpDomain dom;
+    W(dom).run(p, frame);
 }
 
 }  // namespace exo2

@@ -7,13 +7,18 @@
  *
  * Executes procedures over real buffers, including windows, hardware
  * instruction calls (interpreted through their semantics bodies),
- * configuration state, and extern scalar functions. The test suite
- * uses it for randomized equivalence checking: every scheduling
- * primitive must preserve the interpreter-observable behaviour.
+ * configuration state, and the fixed set of extern scalar functions
+ * that the C backend also implements. The test suite uses it for
+ * randomized equivalence checking: every scheduling primitive must
+ * preserve the interpreter-observable behaviour.
+ *
+ * The interpreter is the value domain of the IR walker it shares with
+ * the cost simulator (src/interp/walk.h, DESIGN.md §4.5): the walker does
+ * binding, scoping, index arithmetic and windows; this domain adds real
+ * loads and stores, f32 rounding, and every dynamic check.
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,12 +86,6 @@ struct RunArg
         return a;
     }
 };
-
-/** Extern scalar function semantics (e.g. relu). */
-using ExternFn = std::function<double(const std::vector<double>&)>;
-
-/** Register an extern function available to all interpretations. */
-void register_extern(const std::string& name, ExternFn fn);
 
 /**
  * Execute `p` with positional `args`. Throws InternalError on

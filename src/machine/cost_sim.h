@@ -15,6 +15,12 @@
  * This is the testbed substitute for the paper's Intel Xeon + FireSim
  * measurements (see DESIGN.md): relative performance between schedules
  * comes from schedule structure, which the model prices uniformly.
+ *
+ * The simulator is the cost domain of the IR walker it shares with the
+ * reference interpreter (src/interp/walk.h, DESIGN.md §4.5): the walker
+ * does binding, scoping, index arithmetic and windows; this domain
+ * adds the charges and the cache model. Both throw InternalError on a
+ * call whose argument count differs from the callee's.
  */
 
 #include <cstdint>
@@ -128,12 +134,6 @@ CostSimCacheStats cost_sim_cache_stats();
 
 /** Reset the counters (does not touch cache contents). */
 void reset_cost_sim_cache_stats();
-
-/** Is cost-result memoization consulted? Defaults to true. */
-bool cost_sim_cache_enabled();
-
-/** Toggle memoization; disabling clears the cache. */
-void set_cost_sim_cache_enabled(bool on);
 
 /** Drop every memoized cost result. */
 void clear_cost_sim_cache();

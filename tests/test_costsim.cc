@@ -8,12 +8,60 @@
 #include <gtest/gtest.h>
 
 #include "src/frontend/parser.h"
+#include "src/interp/interp.h"
+#include "src/ir/errors.h"
 #include "src/kernels/blas.h"
 #include "src/machine/cost_sim.h"
+#include "src/machine/machine.h"
 #include "src/sched/blas.h"
 
 namespace exo2 {
 namespace {
+
+/** `p` with its last statement, a call, passing `nargs` arguments
+ *  (cycling through the original ones): a call the parser rejects. */
+ProcPtr
+with_call_arity(const ProcPtr& p, size_t nargs)
+{
+    std::vector<StmtPtr> body = p->body_stmts();
+    const StmtPtr call = body.back();
+    std::vector<ExprPtr> args;
+    for (size_t i = 0; i < nargs; i++)
+        args.push_back(call->args()[i % call->args().size()]);
+    body.back() = call->with_args(std::move(args));
+    return Proc::make(p->name(), p->args(), p->preds(), std::move(body));
+}
+
+TEST(CostSim, CallArityMismatchIsAnInternalErrorInBothDomains)
+{
+    ProcPtr g = parse_proc(R"(
+def g(n: size, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = 0.0
+)");
+    ProcPtr f = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    g(n, x)
+)",
+                           {g});
+    // An instruction callee takes the simulator's pricing path.
+    ProcPtr ld = machine_avx2().instrs(ScalarType::F32).load;
+    ProcPtr h = parse_proc(R"(
+def h(x: f32[8] @ DRAM):
+    v: f32[8] @ AVX2
+    )" + ld->name() + R"((v[0:8], x[0:8]))",
+                           {ld});
+    for (size_t nargs : {size_t{1}, size_t{3}}) {
+        ProcPtr bad_f = with_call_arity(f, nargs);
+        ProcPtr bad_h = with_call_arity(h, nargs);
+        EXPECT_THROW(simulate_cost_named(bad_f, {{"n", 8}}), InternalError);
+        EXPECT_THROW(simulate_cost_named(bad_h, {}), InternalError);
+        Buffer x(ScalarType::F32, {8});
+        EXPECT_THROW(interp_run(bad_f, {RunArg::make_size(8),
+                                        RunArg::make_buffer(&x)}),
+                     InternalError);
+    }
+}
 
 TEST(CostSim, CountsLoopWork)
 {

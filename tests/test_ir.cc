@@ -8,6 +8,7 @@
 
 #include "src/frontend/parser.h"
 #include "src/ir/builder.h"
+#include "src/ir/errors.h"
 #include "src/ir/printer.h"
 
 namespace exo2 {
@@ -97,6 +98,33 @@ def foo(x: f32[64] @ DRAM):
     ASSERT_EQ(call->args().size(), 2u);
     EXPECT_EQ(call->args()[0]->kind(), ExprKind::Window);
     EXPECT_EQ(call->args()[1]->kind(), ExprKind::Window);
+}
+
+TEST(IrParse, CallArityMustMatchCallee)
+{
+    ProcPtr g = parse_proc(R"(
+def g(n: size, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = 0.0
+)");
+    // Too few and too many arguments are scoping errors of the caller.
+    EXPECT_THROW(parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    g(n)
+)",
+                            {g}),
+                 SchedulingError);
+    EXPECT_THROW(parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    g(n, x, n)
+)",
+                            {g}),
+                 SchedulingError);
+    EXPECT_NO_THROW(parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    g(n, x)
+)",
+                               {g}));
 }
 
 TEST(IrExpr, SubstAndEquality)

@@ -28,6 +28,8 @@
 #include <vector>
 
 #include "src/analysis/memo.h"
+#include "src/frontend/parser.h"
+#include "src/interp/interp.h"
 #include "src/ir/errors.h"
 #include "src/ir/interner.h"
 #include "src/obs/metrics.h"
@@ -338,11 +340,23 @@ TEST_F(ObsTest, TraceJsonIsWellFormedAndEscapes)
     {
         EXO2_SPAN("test.plain");
     }
+    {
+        // The frontend and the interpreter are spanned layers too.
+        ProcPtr p = parse_proc(R"(
+def f(n: size, x: f32[n] @ DRAM):
+    for i in seq(0, n):
+        x[i] = 1.0
+)");
+        Buffer x(ScalarType::F32, {4});
+        interp_run(p, {RunArg::make_size(4), RunArg::make_buffer(&x)});
+    }
     trace_stop();
     std::string js = trace_json();
     EXPECT_TRUE(json_valid(js)) << js;
     EXPECT_NE(js.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(js.find("\"test.json\""), std::string::npos);
+    EXPECT_NE(js.find("\"frontend.parse\""), std::string::npos);
+    EXPECT_NE(js.find("\"interp.run\""), std::string::npos);
     EXPECT_NE(js.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(js.find("\"num\":42"), std::string::npos);
 
