@@ -9,6 +9,7 @@
 
 #include "bench/bench_util.h"
 #include "src/kernels/image.h"
+#include "src/obs/metrics.h"
 #include "src/primitives/primitives.h"
 #include "src/sched/halide.h"
 
@@ -35,15 +36,15 @@ main()
     std::printf("Figure 13: blur / unsharp vs the Halide model\n");
     const Machine& m = machine_avx512();
 
-    ScheduleStats::reset();
+    obs::counter("sched.rewrites").reset();
     ProcPtr blur2 = schedule_blur_like_halide(kernels::blur(), m);
-    int64_t blur_rewrites = ScheduleStats::rewrites();
+    int64_t blur_rewrites = obs::counter("sched.rewrites").value();
     ProcPtr blur_h = halide_model_blur(kernels::blur(), m);
 
-    ScheduleStats::reset();
+    obs::counter("sched.rewrites").reset();
     ProcPtr unsharp2 =
         schedule_unsharp_like_halide(kernels::unsharp(), m);
-    int64_t unsharp_rewrites = ScheduleStats::rewrites();
+    int64_t unsharp_rewrites = obs::counter("sched.rewrites").value();
 
     std::vector<int64_t> widths{1280, 2560, 5120};
     std::vector<int64_t> heights{960, 1920, 3840};

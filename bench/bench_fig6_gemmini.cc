@@ -12,6 +12,7 @@
 #include <map>
 
 #include "bench/bench_util.h"
+#include "src/obs/metrics.h"
 #include "src/primitives/primitives.h"
 #include "src/sched/gemmini_lib.h"
 
@@ -81,9 +82,10 @@ main()
         rows, cols, grid(unhoisted));
 
     // Scheduling effort (Figure 6c's flavor): rewrites per schedule.
-    ScheduleStats::reset();
+    obs::Counter& rewrites = obs::counter("sched.rewrites");
+    rewrites.reset();
     (void)schedule_gemmini_matmul(base);
     std::printf("\nExo 2 Gemmini schedule: %lld primitive rewrites\n",
-                static_cast<long long>(ScheduleStats::rewrites()));
+                static_cast<long long>(rewrites.value()));
     return 0;
 }

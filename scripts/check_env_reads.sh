@@ -25,8 +25,7 @@ src/obs/obs.cc:EXO2_TRACE_RING
 src/serve/daemon.cc:EXO2_SERVE_SOCKET
 src/serve/daemon.cc:EXO2_SERVE_WORKERS
 src/serve/daemon.cc:EXO2_SERVE_QUEUE
-src/serve/daemon.cc:EXO2_SERVE_DEADLINE
-src/serve/daemon.cc:EXO2_SERVE_RETRIES"
+src/serve/daemon.cc:EXO2_SERVE_DEADLINE"
 
 reads=0
 bad=0

@@ -8,9 +8,9 @@
  *
  * The registry is the only storage for the engine's counters. Cursor
  * acceleration, analysis memo, interner, cost-sim cache, persistent
- * cache, ISA-downgrade and fault-injection counts are registry
- * counters bumped at their sites; each subsystem's `*_stats()` struct
- * is a StatsView read of them, and `op=metrics` on the daemon
+ * cache, ISA-downgrade, fault-injection, daemon and primitive-rewrite
+ * counts are registry counters bumped at their sites; each subsystem's
+ * `*_stats()` struct is a StatsView read of them, and `op=metrics` on the daemon
  * serializes the whole registry as JSON.
  *
  * Concurrency: registration (name -> metric lookup) takes a mutex;

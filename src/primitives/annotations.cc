@@ -3,13 +3,14 @@
 #include "src/analysis/effects.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
 ProcPtr
 set_memory(const ProcPtr& p, const Cursor& alloc, const MemoryPtr& mem)
 {
-    ScheduleStats::count_rewrite("set_memory");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_stmt_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     require(s->kind() == StmtKind::Alloc,
@@ -39,7 +40,7 @@ set_memory(const ProcPtr& p, const std::string& buf_name,
 ProcPtr
 set_precision(const ProcPtr& p, const Cursor& alloc, ScalarType t)
 {
-    ScheduleStats::count_rewrite("set_precision");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_stmt_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     require(s->kind() == StmtKind::Alloc,
@@ -52,7 +53,7 @@ set_precision(const ProcPtr& p, const Cursor& alloc, ScalarType t)
 ProcPtr
 parallelize_loop(const ProcPtr& p, const Cursor& loop)
 {
-    ScheduleStats::count_rewrite("parallelize_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     Context ctx = Context::at(p, lc.loc().path);
     std::vector<LoopConflict> conflicts;
@@ -129,7 +130,7 @@ ProcPtr
 bind_config(const ProcPtr& p, const Cursor& e, const std::string& cfg,
             const std::string& field)
 {
-    ScheduleStats::count_rewrite("bind_config");
+    EXO2_COUNT("sched.rewrites");
     Cursor ec = p->forward(e);
     require(ec.is_valid() && ec.kind() == CursorKind::Node,
             "bind_config: expected an expression cursor");
@@ -162,7 +163,7 @@ bind_config(const ProcPtr& p, const Cursor& e, const std::string& cfg,
 ProcPtr
 delete_config(const ProcPtr& p, const Cursor& config_write)
 {
-    ScheduleStats::count_rewrite("delete_config");
+    EXO2_COUNT("sched.rewrites");
     Cursor cc = expect_stmt_cursor(p, config_write);
     StmtPtr s = cc.stmt();
     require(s->kind() == StmtKind::WriteConfig,
@@ -196,7 +197,7 @@ ProcPtr
 insert_config_call(const ProcPtr& p, const Cursor& gap,
                    const ProcPtr& config_instr, std::vector<ExprPtr> args)
 {
-    ScheduleStats::count_rewrite("insert_config_call");
+    EXO2_COUNT("sched.rewrites");
     require_pure_config(config_instr, "insert_config_call");
     Cursor gc = expect_gap_cursor(p, gap);
     int g = gc.loc().path.back().index;
@@ -216,7 +217,7 @@ insert_config_call(const ProcPtr& p, const Cursor& gap,
 ProcPtr
 delete_config_call(const ProcPtr& p, const Cursor& call)
 {
-    ScheduleStats::count_rewrite("delete_config_call");
+    EXO2_COUNT("sched.rewrites");
     Cursor cc = expect_stmt_cursor(p, call);
     StmtPtr s = cc.stmt();
     require(s->kind() == StmtKind::Call, "delete_config_call: not a call");
@@ -236,7 +237,7 @@ ProcPtr
 write_config(const ProcPtr& p, const Cursor& gap, const std::string& cfg,
              const std::string& field, const ExprPtr& e)
 {
-    ScheduleStats::count_rewrite("write_config");
+    EXO2_COUNT("sched.rewrites");
     Cursor gc = expect_gap_cursor(p, gap);
     int g = gc.loc().path.back().index;
     ListAddr addr = list_addr_of(gc.loc().path, &g);

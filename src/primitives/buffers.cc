@@ -4,6 +4,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 #include "src/primitives/simplify.h"
 
 namespace exo2 {
@@ -40,7 +41,7 @@ lift_alloc(const ProcPtr& p, const Cursor& alloc, int n_lifts)
     ProcPtr cur = p;
     Cursor ac = expect_alloc_cursor(cur, alloc);
     for (int k = 0; k < n_lifts; k++) {
-        ScheduleStats::count_rewrite("lift_alloc");
+        EXO2_COUNT("sched.rewrites");
         ac = expect_alloc_cursor(cur, ac);
         StmtPtr s = ac.stmt();
         int pos = 0;
@@ -115,7 +116,7 @@ lift_alloc(const ProcPtr& p, const Cursor& alloc, int n_lifts)
 ProcPtr
 sink_alloc(const ProcPtr& p, const Cursor& alloc)
 {
-    ScheduleStats::count_rewrite("sink_alloc");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     int pos = 0;
@@ -158,7 +159,7 @@ sink_alloc(const ProcPtr& p, const Cursor& alloc)
 ProcPtr
 delete_buffer(const ProcPtr& p, const Cursor& alloc)
 {
-    ScheduleStats::count_rewrite("delete_buffer");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     int pos = 0;
@@ -172,7 +173,7 @@ delete_buffer(const ProcPtr& p, const Cursor& alloc)
 ProcPtr
 reuse_buffer(const ProcPtr& p, const Cursor& a_alloc, const Cursor& b_alloc)
 {
-    ScheduleStats::count_rewrite("reuse_buffer");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, a_alloc);
     Cursor bc = expect_alloc_cursor(p, b_alloc);
     StmtPtr sa = ac.stmt();
@@ -262,7 +263,7 @@ ProcPtr
 resize_dim(const ProcPtr& p, const Cursor& alloc, int dim, const ExprPtr& sz,
            const ExprPtr& off)
 {
-    ScheduleStats::count_rewrite("resize_dim");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     require(dim >= 0 && dim < static_cast<int>(s->dims().size()),
@@ -320,7 +321,7 @@ ProcPtr
 expand_dim(const ProcPtr& p, const Cursor& alloc, const ExprPtr& sz,
            const ExprPtr& idx)
 {
-    ScheduleStats::count_rewrite("expand_dim");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     bool ok = true;
@@ -362,7 +363,7 @@ ProcPtr
 rearrange_dim(const ProcPtr& p, const Cursor& alloc,
               const std::vector<int>& perm)
 {
-    ScheduleStats::count_rewrite("rearrange_dim");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     size_t n = s->dims().size();
@@ -400,7 +401,7 @@ rearrange_dim(const ProcPtr& p, const Cursor& alloc,
 ProcPtr
 divide_dim(const ProcPtr& p, const Cursor& alloc, int dim, int64_t c)
 {
-    ScheduleStats::count_rewrite("divide_dim");
+    EXO2_COUNT("sched.rewrites");
     require(c >= 1, "divide_dim: factor must be >= 1");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
@@ -452,7 +453,7 @@ divide_dim(const ProcPtr& p, const std::string& buf_name, int dim, int64_t c)
 ProcPtr
 mult_dim(const ProcPtr& p, const Cursor& alloc, int dim)
 {
-    ScheduleStats::count_rewrite("mult_dim");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     require(dim >= 0 && dim + 1 < static_cast<int>(s->dims().size()),
@@ -587,7 +588,7 @@ split_buffer_stmt(const StmtPtr& s, const std::string& name,
 ProcPtr
 unroll_buffer(const ProcPtr& p, const Cursor& alloc, int dim)
 {
-    ScheduleStats::count_rewrite("unroll_buffer");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = expect_alloc_cursor(p, alloc);
     StmtPtr s = ac.stmt();
     require(dim == 0, "unroll_buffer: only dimension 0 is supported");
@@ -618,7 +619,7 @@ ProcPtr
 bind_expr(const ProcPtr& p, const Cursor& e, const std::string& new_name,
           bool cse)
 {
-    ScheduleStats::count_rewrite("bind_expr");
+    EXO2_COUNT("sched.rewrites");
     Cursor ec = p->forward(e);
     require(ec.is_valid() && ec.kind() == CursorKind::Node,
             "bind_expr: expected an expression cursor");
@@ -716,7 +717,7 @@ StageMemResult
 stage_mem(const ProcPtr& p, const Cursor& block, const std::string& buf,
           const std::vector<WindowDim>& window, const std::string& new_name)
 {
-    ScheduleStats::count_rewrite("stage_mem");
+    EXO2_COUNT("sched.rewrites");
     ensure_unused(p, new_name);
     Cursor bc = p->forward(block);
     require(bc.is_valid(), "stage_mem: cursor invalidated");

@@ -1,7 +1,6 @@
 #include "src/primitives/common.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <functional>
@@ -13,31 +12,6 @@
 #include "src/ir/errors.h"
 
 namespace exo2 {
-
-namespace {
-
-std::atomic<int64_t> g_rewrites{0};
-
-}  // namespace
-
-void
-ScheduleStats::count_rewrite(const std::string& primitive)
-{
-    (void)primitive;
-    g_rewrites.fetch_add(1);
-}
-
-int64_t
-ScheduleStats::rewrites()
-{
-    return g_rewrites.load();
-}
-
-void
-ScheduleStats::reset()
-{
-    g_rewrites.store(0);
-}
 
 void
 require(bool cond, const std::string& msg)

@@ -3,9 +3,11 @@
 
 /**
  * @file
- * Shared machinery for scheduling primitives: rewrite accounting
- * (Fig. 9b's metric), safety-check helpers, fresh-name management,
- * buffer access rewriting, and forwarding helpers.
+ * Shared machinery for scheduling primitives: safety-check helpers,
+ * fresh-name management, buffer access rewriting, and forwarding
+ * helpers. Every primitive application bumps the `sched.rewrites`
+ * registry counter (obs/metrics.h), the paper's "number of primitive
+ * rewrites" metric (Fig. 9b).
  */
 
 #include <functional>
@@ -18,19 +20,6 @@
 #include "src/ir/errors.h"
 
 namespace exo2 {
-
-/**
- * Global accounting of primitive rewrites, reproducing the paper's
- * "number of primitive rewrites" metric (Fig. 9b). Every primitive
- * application increments the counter.
- */
-class ScheduleStats
-{
-  public:
-    static void count_rewrite(const std::string& primitive);
-    static int64_t rewrites();
-    static void reset();
-};
 
 /** Throw SchedulingError with `msg` when `cond` is false. */
 void require(bool cond, const std::string& msg);

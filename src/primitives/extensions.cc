@@ -6,6 +6,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -15,7 +16,7 @@ parallelize_reduction(const ProcPtr& p, const Cursor& around,
                       const std::string& acc_name, int lanes,
                       const MemoryPtr& mem)
 {
-    ScheduleStats::count_rewrite("parallelize_reduction");
+    EXO2_COUNT("sched.rewrites");
     ensure_unused(p, acc_name);
     Cursor ac = expect_stmt_cursor(p, around);
     Cursor lc = expect_loop_cursor(p, lane_loop);
@@ -130,7 +131,7 @@ parallelize_reduction(const ProcPtr& p, const Cursor& around,
 ProcPtr
 split_guard(const ProcPtr& p, const Cursor& if_stmt)
 {
-    ScheduleStats::count_rewrite("split_guard");
+    EXO2_COUNT("sched.rewrites");
     Cursor c = expect_stmt_cursor(p, if_stmt);
     StmtPtr s = c.stmt();
     require(s->kind() == StmtKind::If, "split_guard: expected an if");
@@ -187,7 +188,7 @@ ProcPtr
 extend_loop_bound(const ProcPtr& p, const Cursor& loop,
                   const ExprPtr& new_lo, const ExprPtr& new_hi)
 {
-    ScheduleStats::count_rewrite("extend_loop_bound");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr s = lc.stmt();
     Context ctx = Context::at(p, lc.loc().path);
@@ -225,7 +226,7 @@ extend_loop_bound(const ProcPtr& p, const Cursor& loop,
 ProcPtr
 partial_eval(const ProcPtr& p, const std::string& size_arg, int64_t value)
 {
-    ScheduleStats::count_rewrite("partial_eval");
+    EXO2_COUNT("sched.rewrites");
     const ProcArg* a = p->find_arg(size_arg);
     require(a != nullptr && a->is_size,
             "partial_eval: '" + size_arg + "' is not a size argument");
@@ -252,7 +253,7 @@ ProcPtr
 bind_expr_block(const ProcPtr& p, const Cursor& block, const ExprPtr& expr,
                 const std::string& new_name)
 {
-    ScheduleStats::count_rewrite("bind_expr_block");
+    EXO2_COUNT("sched.rewrites");
     ensure_unused(p, new_name);
     Cursor bc = p->forward(block);
     require(bc.is_valid(), "bind_expr_block: cursor invalidated");

@@ -4,6 +4,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -30,7 +31,7 @@ ProcPtr
 divide_loop(const ProcPtr& p, const Cursor& loop, int64_t factor,
             const std::vector<std::string>& new_iters, TailStrategy tail)
 {
-    ScheduleStats::count_rewrite("divide_loop");
+    EXO2_COUNT("sched.rewrites");
     require(factor >= 1, "divide_loop: factor must be >= 1");
     require(new_iters.size() == 2, "divide_loop: need [outer, inner] names");
     Cursor lc = expect_loop_cursor(p, loop);
@@ -133,7 +134,7 @@ divide_loop(const ProcPtr& p, const std::string& loop_name, int64_t factor,
 ProcPtr
 reorder_loops(const ProcPtr& p, const Cursor& loop)
 {
-    ScheduleStats::count_rewrite("reorder_loops");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr outer = lc.stmt();
     require(outer->body().size() == 1 &&
@@ -169,7 +170,7 @@ divide_with_recompute(const ProcPtr& p, const Cursor& loop,
                       const ExprPtr& n_tiles, int64_t c,
                       const std::vector<std::string>& new_iters)
 {
-    ScheduleStats::count_rewrite("divide_with_recompute");
+    EXO2_COUNT("sched.rewrites");
     require(new_iters.size() == 2,
             "divide_with_recompute: need [outer, inner] names");
     Cursor lc = expect_loop_cursor(p, loop);
@@ -208,7 +209,7 @@ divide_with_recompute(const ProcPtr& p, const Cursor& loop,
 ProcPtr
 mult_loops(const ProcPtr& p, const Cursor& outer, const std::string& new_iter)
 {
-    ScheduleStats::count_rewrite("mult_loops");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, outer);
     StmtPtr s = lc.stmt();
     require(s->body().size() == 1 && s->body()[0]->kind() == StmtKind::For,
@@ -240,7 +241,7 @@ mult_loops(const ProcPtr& p, const Cursor& outer, const std::string& new_iter)
 ProcPtr
 cut_loop(const ProcPtr& p, const Cursor& loop, const ExprPtr& e)
 {
-    ScheduleStats::count_rewrite("cut_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr s = lc.stmt();
     Context ctx = Context::at(p, lc.loc().path);
@@ -267,7 +268,7 @@ cut_loop(const ProcPtr& p, const Cursor& loop, const ExprPtr& e)
 ProcPtr
 join_loops(const ProcPtr& p, const Cursor& loop1, const Cursor& loop2)
 {
-    ScheduleStats::count_rewrite("join_loops");
+    EXO2_COUNT("sched.rewrites");
     Cursor c1 = expect_loop_cursor(p, loop1);
     Cursor c2 = expect_loop_cursor(p, loop2);
     StmtPtr s1 = c1.stmt();
@@ -306,7 +307,7 @@ join_loops(const ProcPtr& p, const Cursor& loop1, const Cursor& loop2)
 ProcPtr
 shift_loop(const ProcPtr& p, const Cursor& loop, const ExprPtr& new_lo)
 {
-    ScheduleStats::count_rewrite("shift_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr s = lc.stmt();
     Context ctx = Context::at(p, lc.loc().path);
@@ -328,7 +329,7 @@ fission(const ProcPtr& p, const Cursor& gap, int n_lifts)
     ProcPtr cur = p;
     CursorLoc loc = gc.loc();
     for (int lift = 0; lift < n_lifts; lift++) {
-        ScheduleStats::count_rewrite("fission");
+        EXO2_COUNT("sched.rewrites");
         int g = loc.path.back().index;
         ListAddr body_addr = list_addr_of(loc.path, &g);
         require(!body_addr.parent.empty(),
@@ -480,7 +481,7 @@ fission(const ProcPtr& p, const Cursor& gap, int n_lifts)
 ProcPtr
 remove_loop(const ProcPtr& p, const Cursor& loop)
 {
-    ScheduleStats::count_rewrite("remove_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr s = lc.stmt();
     require(block_idempotent(s->body()),
@@ -512,7 +513,7 @@ ProcPtr
 add_loop(const ProcPtr& p, const Cursor& stmt, const std::string& iter,
          const ExprPtr& hi, bool guard)
 {
-    ScheduleStats::count_rewrite("add_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor sc = expect_stmt_cursor(p, stmt);
     ensure_unused(p, iter);
     if (!guard) {
@@ -544,7 +545,7 @@ add_loop(const ProcPtr& p, const Cursor& stmt, const std::string& iter,
 ProcPtr
 unroll_loop(const ProcPtr& p, const Cursor& loop)
 {
-    ScheduleStats::count_rewrite("unroll_loop");
+    EXO2_COUNT("sched.rewrites");
     Cursor lc = expect_loop_cursor(p, loop);
     StmtPtr s = lc.stmt();
     Affine lo = to_affine(s->lo());

@@ -8,6 +8,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -363,7 +364,7 @@ struct Unifier
 ProcPtr
 replace(const ProcPtr& p, const Cursor& s, const ProcPtr& instr)
 {
-    ScheduleStats::count_rewrite("replace");
+    EXO2_COUNT("sched.rewrites");
     require(instr != nullptr, "replace: null instruction");
     Cursor c = p->forward(s);
     require(c.is_valid(), "replace: cursor invalidated");
@@ -429,7 +430,7 @@ try_replace_somewhere(ProcPtr* p, const ProcPtr& instr)
                     ListAddr addr{parent, label};
                     result = apply_replace_range(p, addr, i, i + n, {call},
                                                  "replace");
-                    ScheduleStats::count_rewrite("replace");
+                    EXO2_COUNT("sched.rewrites");
                     changed = true;
                     return true;
                 }
@@ -478,7 +479,7 @@ replace_all_stmts(const ProcPtr& p, const std::vector<ProcPtr>& instrs)
 ProcPtr
 inline_call(const ProcPtr& p, const Cursor& call)
 {
-    ScheduleStats::count_rewrite("inline");
+    EXO2_COUNT("sched.rewrites");
     Cursor cc = expect_stmt_cursor(p, call);
     StmtPtr s = cc.stmt();
     require(s->kind() == StmtKind::Call, "inline: expected a call");
@@ -574,7 +575,7 @@ inline_call(const ProcPtr& p, const Cursor& call)
 ProcPtr
 call_eqv(const ProcPtr& p, const Cursor& call, const ProcPtr& eqv)
 {
-    ScheduleStats::count_rewrite("call_eqv");
+    EXO2_COUNT("sched.rewrites");
     Cursor cc = expect_stmt_cursor(p, call);
     StmtPtr s = cc.stmt();
     require(s->kind() == StmtKind::Call, "call_eqv: expected a call");
@@ -610,7 +611,7 @@ ProcPtr
 extract_subproc_impl(const ProcPtr& p, const Cursor& c,
                      const std::string& name, ProcPtr* out_sub)
 {
-    ScheduleStats::count_rewrite("extract_subproc");
+    EXO2_COUNT("sched.rewrites");
     Cursor bc = p->forward(c);
     require(bc.is_valid(), "extract_subproc: cursor invalidated");
     int lo = 0;

@@ -6,13 +6,14 @@
 #include "src/inspect/bounds.h"
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
 ProcPtr
 reorder_stmts(const ProcPtr& p, const Cursor& first, const Cursor& second)
 {
-    ScheduleStats::count_rewrite("reorder_stmts");
+    EXO2_COUNT("sched.rewrites");
     Cursor c1 = expect_stmt_cursor(p, first);
     Cursor c2 = expect_stmt_cursor(p, second);
     int pos1 = 0;
@@ -43,7 +44,7 @@ reorder_stmts(const ProcPtr& p, const Cursor& pair_block)
 ProcPtr
 commute_expr(const ProcPtr& p, const Cursor& expr)
 {
-    ScheduleStats::count_rewrite("commute_expr");
+    EXO2_COUNT("sched.rewrites");
     Cursor c = p->forward(expr);
     require(c.is_valid() && c.kind() == CursorKind::Node,
             "commute_expr: expected an expression cursor");
@@ -59,7 +60,7 @@ ProcPtr
 specialize(const ProcPtr& p, const Cursor& stmt,
            const std::vector<ExprPtr>& conds)
 {
-    ScheduleStats::count_rewrite("specialize");
+    EXO2_COUNT("sched.rewrites");
     require(!conds.empty(), "specialize: need at least one condition");
     Cursor c = p->forward(stmt);
     require(c.is_valid(), "specialize: cursor invalidated");
@@ -144,7 +145,7 @@ specialize(const ProcPtr& p, const Cursor& stmt,
 ProcPtr
 fuse(const ProcPtr& p, const Cursor& scope1, const Cursor& scope2)
 {
-    ScheduleStats::count_rewrite("fuse");
+    EXO2_COUNT("sched.rewrites");
     Cursor c1 = expect_stmt_cursor(p, scope1);
     Cursor c2 = expect_stmt_cursor(p, scope2);
     StmtPtr s1 = c1.stmt();
@@ -402,7 +403,7 @@ require_sole_child(const StmtPtr& parent, const std::string& who)
 ProcPtr
 lift_scope(const ProcPtr& p, const Cursor& scope)
 {
-    ScheduleStats::count_rewrite("lift_scope");
+    EXO2_COUNT("sched.rewrites");
     Cursor sc = expect_stmt_cursor(p, scope);
     StmtPtr inner = sc.stmt();
     require(inner->kind() == StmtKind::For || inner->kind() == StmtKind::If,

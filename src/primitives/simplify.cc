@@ -5,6 +5,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/errors.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 
@@ -288,7 +289,7 @@ simplify_expr(const Context& ctx, const ExprPtr& e)
 ProcPtr
 simplify(const ProcPtr& p)
 {
-    ScheduleStats::count_rewrite("simplify");
+    EXO2_COUNT("sched.rewrites");
     Context ctx = Context::at(p, {});
     auto body = simplify_block(ctx, p->body_stmts());
     return p->with_body(std::move(body), fwd_identity(), "simplify");
@@ -360,7 +361,7 @@ eliminate_dead_code(const ProcPtr& p, const Cursor& scope)
 ProcPtr
 eliminate_dead_code(const ProcPtr& p)
 {
-    ScheduleStats::count_rewrite("eliminate_dead_code");
+    EXO2_COUNT("sched.rewrites");
     ProcPtr cur = p;
     for (int guard = 0; guard < 10000; guard++) {
         Path path;
@@ -393,7 +394,7 @@ eliminate_dead_code(const ProcPtr& p)
 ProcPtr
 rewrite_expr(const ProcPtr& p, const Cursor& e, const ExprPtr& repl)
 {
-    ScheduleStats::count_rewrite("rewrite_expr");
+    EXO2_COUNT("sched.rewrites");
     Cursor c = p->forward(e);
     require(c.is_valid() && c.kind() == CursorKind::Node,
             "rewrite_expr: expected an expression cursor");
@@ -408,7 +409,7 @@ rewrite_expr(const ProcPtr& p, const Cursor& e, const ExprPtr& repl)
 ProcPtr
 merge_writes(const ProcPtr& p, const Cursor& s1c, const Cursor& s2c)
 {
-    ScheduleStats::count_rewrite("merge_writes");
+    EXO2_COUNT("sched.rewrites");
     Cursor c1 = expect_stmt_cursor(p, s1c);
     Cursor c2 = expect_stmt_cursor(p, s2c);
     StmtPtr s1 = c1.stmt();
@@ -458,7 +459,7 @@ merge_writes(const ProcPtr& p, const Cursor& s1c, const Cursor& s2c)
 ProcPtr
 inline_window(const ProcPtr& p, const Cursor& window_decl)
 {
-    ScheduleStats::count_rewrite("inline_window");
+    EXO2_COUNT("sched.rewrites");
     Cursor c = expect_stmt_cursor(p, window_decl);
     StmtPtr s = c.stmt();
     require(s->kind() == StmtKind::WindowDecl,
@@ -614,7 +615,7 @@ used_outside_suffix(const ProcPtr& p, const ListAddr& addr, int pos,
 ProcPtr
 inline_assign(const ProcPtr& p, const Cursor& assign)
 {
-    ScheduleStats::count_rewrite("inline_assign");
+    EXO2_COUNT("sched.rewrites");
     Cursor c = expect_stmt_cursor(p, assign);
     StmtPtr s = c.stmt();
     require(s->kind() == StmtKind::Assign && s->idx().empty(),

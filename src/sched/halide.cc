@@ -3,6 +3,7 @@
 #include "src/inspect/bounds.h"
 #include "src/ir/builder.h"
 #include "src/ir/printer.h"
+#include "src/obs/metrics.h"
 
 namespace exo2 {
 namespace sched {
@@ -242,7 +243,7 @@ H_vectorize(const ProcPtr& p, const std::string& prod,
 ProcPtr
 H_store_in(const ProcPtr& p, const std::string& buf, const MemoryPtr& mem)
 {
-    ScheduleStats::count_rewrite("set_memory");
+    EXO2_COUNT("sched.rewrites");
     Cursor ac = p->find_alloc(buf);
     // Plain DRAM-kind memories need no vector-shape check.
     return apply_replace_stmt_same_shape(

@@ -12,8 +12,8 @@ namespace exo2 {
 namespace serve {
 
 ServeClient::ServeClient(std::string socket_path,
-                         double io_timeout_seconds)
-    : path_(std::move(socket_path)), timeout_(io_timeout_seconds) {}
+                         double timeout_seconds)
+    : path_(std::move(socket_path)), timeout_(timeout_seconds) {}
 
 ServeClient::~ServeClient() { disconnect(); }
 

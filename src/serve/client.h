@@ -25,7 +25,7 @@ class ServeClient
 {
   public:
     explicit ServeClient(std::string socket_path,
-                         double io_timeout_seconds = 30.0);
+                         double timeout_seconds = 30.0);
     ~ServeClient();
 
     ServeClient(const ServeClient&) = delete;

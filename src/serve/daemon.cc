@@ -5,11 +5,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 
 #include "src/cache/cache.h"
 #include "src/ir/errors.h"
@@ -129,24 +129,24 @@ attach_phases(ServeResponse* resp, const obs::PhaseBreakdown& pb)
     }
 }
 
-/** Transient faults are worth a bounded retry; deterministic ones
- *  (a kernel that always SIGSEGVs) are not — but those never escape
- *  autotune, which scores them infeasible. */
-bool
-is_transient(FaultKind k)
-{
-    switch (k) {
-      case FaultKind::CompileError:
-      case FaultKind::CompileTimeout:
-      case FaultKind::LoadError:
-      case FaultKind::Timeout:
-      case FaultKind::ResourceLimit:
-      case FaultKind::SandboxError:
-        return true;
-      default:
-        return false;
-    }
-}
+/** Backpressure: a connection is not read while this many answer
+ *  bytes wait for its client to take them, so a client that pipelines
+ *  requests without reading costs a bounded buffer, never a thread. */
+constexpr size_t kOutHighWaterBytes = 256 * 1024;
+/** Backoff hint sent with `rejected`. */
+constexpr int kRetryAfterMs = 100;
+
+const obs::StatsView<ServeStats> g_counters{
+    {"serve.connections", &ServeStats::connections},
+    {"serve.requests", &ServeStats::requests},
+    {"serve.completed", &ServeStats::completed},
+    {"serve.degraded", &ServeStats::degraded},
+    {"serve.rejected", &ServeStats::rejected},
+    {"serve.errors", &ServeStats::errors},
+    {"serve.queue_peak", &ServeStats::queue_peak},
+    {"serve.deadline_expired", &ServeStats::deadline_expired},
+    {"serve.lint_rejects", &ServeStats::lint_rejects},
+};
 
 }  // namespace
 
@@ -161,8 +161,6 @@ ServeConfig::from_env()
         util::env_int("EXO2_SERVE_QUEUE", c.queue_capacity, 1, 65536));
     c.default_deadline_seconds = util::env_double(
         "EXO2_SERVE_DEADLINE", c.default_deadline_seconds, 0, 86400);
-    c.retry_attempts = static_cast<int>(
-        util::env_int("EXO2_SERVE_RETRIES", c.retry_attempts, 0, 16));
     return c;
 }
 
@@ -170,20 +168,50 @@ ServeConfig::from_env()
 // Internals
 // ---------------------------------------------------------------------------
 
-/** One accepted client connection. Workers and the connection thread
- *  share it; the last owner closes the fd. Writes are serialized so
- *  two workers answering pipelined requests cannot interleave
- *  frames. */
+/** One accepted client connection. The I/O thread keeps it until its
+ *  queued requests are answered and the answers sent; a queued job
+ *  holds a reference too. No write waits: an answer is appended to
+ *  `out`, the socket takes what it can at once, and the I/O thread
+ *  sends the rest when poll() reports room. */
 struct Daemon::Conn
 {
-    int fd = -1;
-    std::mutex write_mu;
+    int fd;
+    std::string in;              ///< undecoded bytes (I/O thread only)
+    bool read_closed = false;    ///< EOF seen (I/O thread only)
+    std::atomic<int> queued{0};  ///< admitted requests not yet answered
+    std::mutex mu;               ///< guards out and dead
+    std::string out;             ///< answer bytes not yet sent
+    bool dead = false;           ///< hung up: nothing more is sent
 
     explicit Conn(int f) : fd(f) {}
-    ~Conn()
+    ~Conn() { close(fd); }
+
+    /** Send what the socket takes now; hang up on a write error
+     *  (MSG_NOSIGNAL: a peer that left is EPIPE, not SIGPIPE). Caller
+     *  holds mu. */
+    void flush_locked()
     {
-        if (fd >= 0)
-            close(fd);
+        ssize_t n = 0;
+        while (!out.empty() &&
+               (n = send(fd, out.data(), out.size(), MSG_NOSIGNAL)) > 0)
+            out.erase(0, static_cast<size_t>(n));
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+            errno != EINTR)
+            kill_locked();
+    }
+
+    void kill_locked()
+    {
+        dead = true;
+        out.clear();
+        shutdown(fd, SHUT_RDWR);
+    }
+
+    /** Alive, and its client keeps up with its answers? */
+    bool wants_frames()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        return !dead && out.size() < kOutHighWaterBytes;
     }
 };
 
@@ -217,7 +245,8 @@ Daemon::start()
     std::strncpy(addr.sun_path, cfg_.socket_path.c_str(),
                  sizeof(addr.sun_path) - 1);
 
-    listen_fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    listen_fd_ =
+        socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0)
         throw ConfigError(std::string("socket() failed: ") +
                           std::strerror(errno));
@@ -236,7 +265,7 @@ Daemon::start()
 
     running_.store(true);
     draining_.store(false);
-    listener_ = std::thread([this] { listener_main(); });
+    io_ = std::thread([this] { io_main(); });
     for (int i = 0; i < cfg_.workers; i++)
         workers_.emplace_back([this] { worker_main(); });
 }
@@ -251,28 +280,22 @@ Daemon::request_stop()
 void
 Daemon::join()
 {
-    if (listener_.joinable())
-        listener_.join();
-    // Workers exit once draining_ is set and the queue is empty.
+    // Workers exit once draining_ is set and the queue is empty. The
+    // I/O thread goes on answering (late arrivals: "draining") until
+    // running_ drops, then sends what the sockets take and exits.
     for (std::thread& w : workers_) {
         if (w.joinable())
             w.join();
     }
     workers_.clear();
-    {
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        for (std::thread& c : conns_) {
-            if (c.joinable())
-                c.join();
-        }
-        conns_.clear();
-    }
+    running_.store(false);
+    if (io_.joinable())
+        io_.join();
     if (listen_fd_ >= 0) {
         close(listen_fd_);
         listen_fd_ = -1;
     }
     unlink(cfg_.socket_path.c_str());
-    running_.store(false);
 }
 
 void
@@ -287,138 +310,148 @@ Daemon::stop()
 ServeStats
 Daemon::stats() const
 {
-    ServeStats s;
-    s.connections = stats_.connections.load(std::memory_order_relaxed);
-    s.requests = stats_.requests.load(std::memory_order_relaxed);
-    s.completed = stats_.completed.load(std::memory_order_relaxed);
-    s.degraded = stats_.degraded.load(std::memory_order_relaxed);
-    s.rejected = stats_.rejected.load(std::memory_order_relaxed);
-    s.errors = stats_.errors.load(std::memory_order_relaxed);
-    s.retries = stats_.retries.load(std::memory_order_relaxed);
-    s.queue_peak = stats_.queue_peak.load(std::memory_order_relaxed);
-    s.deadline_expired =
-        stats_.deadline_expired.load(std::memory_order_relaxed);
-    s.lint_rejects =
-        stats_.lint_rejects.load(std::memory_order_relaxed);
-    return s;
+    return g_counters.read();
 }
 
 void
-Daemon::listener_main()
+Daemon::io_main()
 {
-    while (!draining_.load()) {
-        struct pollfd pfd;
-        pfd.fd = listen_fd_;
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        int rc = poll(&pfd, 1, 100);
-        if (rc <= 0)
-            continue;  // timeout tick or EINTR: re-check draining_
-        int fd = accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        auto conn = std::make_shared<Conn>(fd);
-        stats_.connections.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(conns_mu_);
-        conns_.emplace_back(
-            [this, conn] { connection_main(conn); });
-    }
-}
-
-void
-Daemon::connection_main(std::shared_ptr<Conn> conn)
-{
+    std::vector<std::shared_ptr<Conn>> conns, kept;
+    std::vector<struct pollfd> pfds;
     std::string payload;
-    // 1s read ticks so a drain closes idle connections promptly.
-    while (!draining_.load()) {
-        if (!read_frame(conn->fd, &payload, 1.0)) {
-            // Distinguish "nothing arrived this tick" from EOF/error:
-            // peek for EOF.
-            char b;
-            ssize_t n = recv(conn->fd, &b, 1, MSG_PEEK | MSG_DONTWAIT);
-            if (n == 0)
-                return;  // peer closed
-            if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
-                return;
+    char chunk[64 * 1024];
+    while (running_.load()) {
+        // Dispatch the buffered frames; keep each connection that is
+        // alive and either still read or owed an answer.
+        pfds.assign({{listen_fd_, POLLIN, 0}});
+        kept.clear();
+        for (const auto& c : conns) {
+            size_t pos = 0;
+            FrameStatus st = FrameStatus::Incomplete;
+            while (c->wants_frames() &&
+                   (st = take_frame(c->in, &pos, &payload)) ==
+                       FrameStatus::Complete)
+                dispatch(c, payload);
+            c->in.erase(0, pos);
+            std::lock_guard<std::mutex> lk(c->mu);
+            if (st == FrameStatus::Oversized)
+                c->kill_locked();  // a corrupt prefix cannot be resynced
+            if (c->dead || (c->read_closed && c->queued.load() == 0 &&
+                            c->out.empty()))
+                continue;
+            short ev = c->out.empty() ? 0 : POLLOUT;
+            if (!c->read_closed && c->out.size() < kOutHighWaterBytes)
+                ev |= POLLIN;
+            // Nothing asked: leave the fd out, or a hung-up peer's
+            // POLLHUP would spin this loop.
+            pfds.push_back({ev ? c->fd : -1, ev, 0});
+            kept.push_back(c);
+        }
+        conns.swap(kept);
+        // The 100 ms tick bounds how long the loop takes to see an
+        // answer a worker could not send at once, or the end of a drain.
+        if (poll(pfds.data(), pfds.size(), 100) <= 0)
             continue;
-        }
 
-        ServeRequest req;
-        try {
-            req = ServeRequest::from_wire(payload);
-            stats_.requests.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-            ServeResponse resp;
-            resp.status = "error";
-            resp.detail = e.what();
-            send_response(conn, resp);
-            stats_.errors.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        // Telemetry needs every request attributable: a frame that
-        // arrives without an id is assigned one ("r<n>"), echoed back
-        // in the request_id extra (the id field itself stays an echo
-        // of what the client sent).
-        if (req.id.empty()) {
-            req.id = "r" + std::to_string(req_seq_.fetch_add(
-                               1, std::memory_order_relaxed) +
-                           1);
-        }
-
-        // Control ops answer inline: they must work even when the
-        // queue is saturated — that is when you need `stats` most.
-        if (req.op == "ping" || req.op == "stats" ||
-            req.op == "metrics" || req.op == "shutdown") {
-            ServeResponse resp = process(req, now_seconds());
-            send_response(conn, resp);
-            if (req.op == "shutdown")
-                request_stop();
-            continue;
-        }
-
-        // Admission: bounded queue with explicit backpressure. The
-        // `queue_full` fault site makes a healthy queue report
-        // saturation for one admission, driving this exact path.
-        bool full_injected =
-            verify::fault_should_inject(verify::FaultSite::QueueFull);
-        bool admitted = false;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (!draining_.load() && !full_injected &&
-                queue_.size() <
-                    static_cast<size_t>(cfg_.queue_capacity)) {
-                Job job;
-                job.req = req;
-                job.conn = conn;
-                job.admitted = now_seconds();
-                queue_.push_back(std::move(job));
-                uint64_t depth = queue_.size();
-                uint64_t peak = stats_.queue_peak.load(
-                    std::memory_order_relaxed);
-                while (depth > peak &&
-                       !stats_.queue_peak.compare_exchange_weak(
-                           peak, depth, std::memory_order_relaxed)) {
-                }
-                admitted = true;
-            } else {
-                stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+        for (size_t i = 0; i < conns.size(); i++) {
+            const struct pollfd& pfd = pfds[i + 1];
+            Conn& c = *conns[i];
+            if (pfd.revents == 0)
+                continue;
+            if (pfd.events & POLLOUT) {
+                std::lock_guard<std::mutex> lk(c.mu);
+                c.flush_locked();
+            }
+            if (pfd.events & POLLIN) {
+                ssize_t n = recv(c.fd, chunk, sizeof(chunk), 0);
+                if (n > 0)
+                    c.in.append(chunk, static_cast<size_t>(n));
+                c.read_closed = n == 0 || (n < 0 && errno != EAGAIN &&
+                                           errno != EINTR);
             }
         }
-        if (admitted) {
-            queue_cv_.notify_one();
-        } else {
-            ServeResponse resp;
-            resp.id = req.id;
-            resp.status = "rejected";
-            resp.detail = draining_.load()
-                              ? "draining: daemon is shutting down"
-                              : (full_injected
-                                     ? "queue full (injected)"
-                                     : "queue full");
-            resp.retry_after_ms = cfg_.retry_after_ms;
-            send_response(conn, resp);
+        if (pfds[0].revents & POLLIN) {
+            int fd;
+            while ((fd = accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC)) >= 0) {
+                conns.push_back(std::make_shared<Conn>(fd));
+                EXO2_COUNT("serve.connections");
+            }
         }
     }
+    // The drain is over: answers a client has not made room for are
+    // dropped with its connection.
+}
+
+void
+Daemon::dispatch(const std::shared_ptr<Conn>& conn,
+                 const std::string& payload)
+{
+    ServeRequest req;
+    try {
+        req = ServeRequest::from_wire(payload);
+        EXO2_COUNT("serve.requests");
+    } catch (const std::exception& e) {
+        ServeResponse resp;
+        resp.status = "error";
+        resp.detail = e.what();
+        send_response(conn, resp);
+        EXO2_COUNT("serve.errors");
+        return;
+    }
+    // Telemetry needs every request attributable: a frame that
+    // arrives without an id is assigned one ("r<n>"), echoed back
+    // in the request_id extra (the id field itself stays an echo
+    // of what the client sent).
+    if (req.id.empty())
+        req.id = "r" + std::to_string(++req_seq_);
+
+    // Control ops answer inline: they must work even when the
+    // queue is saturated — that is when you need `stats` most.
+    if (req.op == "ping" || req.op == "stats" || req.op == "metrics" ||
+        req.op == "shutdown") {
+        ServeResponse resp = process(req, now_seconds());
+        send_response(conn, resp);
+        if (req.op == "shutdown")
+            request_stop();
+        return;
+    }
+
+    // Admission: bounded queue with explicit backpressure. The
+    // `queue_full` fault site makes a healthy queue report
+    // saturation for one admission, driving this exact path.
+    bool full_injected =
+        verify::fault_should_inject(verify::FaultSite::QueueFull);
+    bool admitted = false;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (!draining_.load() && !full_injected &&
+            queue_.size() < static_cast<size_t>(cfg_.queue_capacity)) {
+            Job job;
+            job.req = req;
+            job.conn = conn;
+            job.admitted = now_seconds();
+            conn->queued++;
+            queue_.push_back(std::move(job));
+            static obs::Counter& peak = obs::counter("serve.queue_peak");
+            if (queue_.size() > peak.value())
+                peak.inc(queue_.size() - peak.value());
+            admitted = true;
+        }
+    }
+    if (admitted) {
+        queue_cv_.notify_one();
+        return;
+    }
+    EXO2_COUNT("serve.rejected");
+    ServeResponse resp;
+    resp.id = req.id;
+    resp.status = "rejected";
+    resp.detail = draining_.load() ? "draining: daemon is shutting down"
+                  : full_injected  ? "queue full (injected)"
+                                   : "queue full";
+    resp.retry_after_ms = kRetryAfterMs;
+    send_response(conn, resp);
 }
 
 void
@@ -431,11 +464,8 @@ Daemon::worker_main()
             queue_cv_.wait(lk, [this] {
                 return !queue_.empty() || draining_.load();
             });
-            if (queue_.empty()) {
-                if (draining_.load())
-                    return;
-                continue;
-            }
+            if (queue_.empty())
+                return;  // draining, and nothing left to do
             job = std::move(queue_.front());
             queue_.pop_front();
         }
@@ -455,6 +485,7 @@ Daemon::worker_main()
         attach_phases(&resp, pb);
         obs::histogram("serve.latency_ms").observe(resp.elapsed_ms);
         send_response(job.conn, resp);
+        job.conn->queued--;
     }
 }
 
@@ -486,7 +517,6 @@ Daemon::process(const ServeRequest& req, double admitted)
             put("degraded_count", s.degraded);
             put("rejected_count", s.rejected);
             put("error_count", s.errors);
-            put("retry_count", s.retries);
             put("queue_peak", s.queue_peak);
             put("deadline_expired", s.deadline_expired);
             put("lint_rejects", s.lint_rejects);
@@ -533,13 +563,13 @@ Daemon::process(const ServeRequest& req, double admitted)
     resp.extra["request_id"] = req.id;
     resp.elapsed_ms = (now_seconds() - t0) * 1000.0;
     if (resp.status == "ok")
-        stats_.completed.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.completed");
     else if (resp.status == "degraded")
-        stats_.degraded.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.degraded");
     else if (resp.status == "rejected")
-        stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.rejected");
     else
-        stats_.errors.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.errors");
     return resp;
 }
 
@@ -575,7 +605,7 @@ Daemon::process_tune(const ServeRequest& req, double admitted)
         // Bottom of the degradation ladder: no search budget left.
         // A cached winner still replays in milliseconds; otherwise
         // answer with the naive schedule. Weaker, never an error.
-        stats_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.deadline_expired");
     }
     if (budget > 0) {
         opts.deadline_seconds =
@@ -589,31 +619,22 @@ Daemon::process_tune(const ServeRequest& req, double admitted)
     }
 
     tune::TuneResult r;
-    int attempt = 0;
-    for (;;) {
-        try {
-            std::lock_guard<std::mutex> lk(engine_mu_);
-            r = tune::autotune(naive, m, opts);
-            break;
-        } catch (const FaultError& e) {
-            if (!is_transient(e.fault().kind) ||
-                attempt >= cfg_.retry_attempts)
-                throw;
-            double back_ms =
-                cfg_.retry_backoff_ms * static_cast<double>(1 << attempt);
-            attempt++;
-            stats_.retries.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                back_ms / 1000.0));
-        }
+    {
+        std::lock_guard<std::mutex> lk(engine_mu_);
+        r = tune::autotune(naive, m, opts);
     }
 
-    resp.status =
-        (r.degraded || expired_in_queue) ? "degraded" : "ok";
+    bool unvalidated = opts.validate && !r.validated;
+    resp.status = (r.degraded || expired_in_queue || unvalidated)
+                      ? "degraded"
+                      : "ok";
     if (expired_in_queue)
         resp.detail = "deadline expired before search began";
     else if (r.degraded)
         resp.detail = "deadline reached mid-search: best-so-far";
+    else if (unvalidated)
+        resp.detail = "validation unavailable: no candidate passed the "
+                      "tri-oracle; the answer is unvalidated";
     resp.script = verify::script_to_string(r.script);
     resp.cost = r.cost;
     resp.naive_cost = r.naive_cost;
@@ -672,7 +693,7 @@ Daemon::process_schedule(const ServeRequest& req)
     lint::LintReport lrep = lint::lint_proc(scheduled);
     attach_lint(&resp, lrep);
     if (lrep.has_errors()) {
-        stats_.lint_rejects.fetch_add(1, std::memory_order_relaxed);
+        EXO2_COUNT("serve.lint_rejects");
         resp.status = "error";
         resp.detail =
             "schedule rejected by lint: " + lrep.to_text();
@@ -702,11 +723,13 @@ void
 Daemon::send_response(const std::shared_ptr<Conn>& conn,
                       const ServeResponse& resp)
 {
-    std::lock_guard<std::mutex> lk(conn->write_mu);
-    // A client that vanished mid-request is not an error worth more
-    // than a counter; the next read on the connection sees EOF.
-    (void)write_frame(conn->fd, resp.to_wire(),
-                      cfg_.io_timeout_seconds);
+    std::lock_guard<std::mutex> lk(conn->mu);
+    if (conn->dead)
+        return;  // a client that hung up mid-request
+    if (append_frame(&conn->out, resp.to_wire()))
+        conn->flush_locked();
+    else
+        conn->kill_locked();
 }
 
 }  // namespace serve

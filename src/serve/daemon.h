@@ -9,23 +9,30 @@
  *
  * Architecture:
  *
- *   listener thread ── accept ──> connection threads (one per client)
- *        │                              │ read frame, decode
- *        │                              │ ping/stats/shutdown: inline
- *        │                              ▼
- *        │                     bounded request queue ── full? ──> REJECTED
- *        │                              │                 (retry_after_ms)
- *        │                              ▼
- *        └── stop flag ──────── worker thread pool
- *                                       │ engine mutex (the scheduling
- *                                       │ engine's memo caches are
- *                                       │ single-threaded by design)
- *                                       ▼
- *                               autotune / replay  ──>  response frame
+ *   I/O thread: poll() over the listening socket and every client
+ *        │      accept; append readable bytes to the connection's
+ *        │      buffer; decode each complete frame
+ *        │      ping/stats/metrics/shutdown: answered inline
+ *        ▼
+ *   bounded request queue ── full? ──> REJECTED (retry_after_ms)
+ *        │
+ *        ▼
+ *   worker thread pool ── engine mutex (the scheduling engine's memo
+ *        │                caches are single-threaded by design)
+ *        ▼
+ *   autotune / replay / lint  ──>  response frame
  *
  * Robustness posture — every request gets exactly one response and
  * the daemon never dies on a request's behalf:
  *
+ *  - **No thread per client**: sockets are non-blocking and a
+ *    connection costs one buffer, so a client that stalls mid-frame
+ *    holds no thread and cannot delay a drain. No write waits: answers
+ *    go to a per-connection buffer that the I/O thread flushes when
+ *    the socket has room, and a connection whose client leaves 256 KB
+ *    of answers unread is not read until it catches up. EOF, a read or
+ *    write error, or a length prefix over kMaxFrameBytes closes that
+ *    connection only.
  *  - **Backpressure**: the queue is bounded (ServeConfig::queue_capacity).
  *    A full queue (real, or injected via the `queue_full` fault site)
  *    answers `rejected` + `retry_after_ms` immediately instead of
@@ -36,14 +43,11 @@
  *    tuner's best-so-far, `degraded`; budget already gone at dequeue
  *    -> cached winner if one replays, else the naive schedule,
  *    `degraded`. Deadlines produce weaker answers, never errors.
- *  - **Retry**: transient faults from the PR 6 taxonomy (compiler
- *    timeout/crash, sandbox trouble, resource limits) are retried
- *    inside the daemon with bounded exponential backoff before any
- *    degraded answer is considered.
  *  - **Drain**: request_stop() (SIGTERM in exo2d) stops admission —
  *    late arrivals are `rejected` with "draining" — finishes every
- *    queued request, flushes nothing because cache writes are
- *    write-through (atomic rename + fsync at store time), then joins.
+ *    queued request, sends each client what its socket has room for,
+ *    then joins. Caches need no flush: their writes are write-through
+ *    (atomic rename + fsync at store time).
  *  - **Crash-only**: kill -9 at any instant leaves only temp files and
  *    possibly-torn unreferenced entries; the next daemon's cache
  *    construction sweeps orphans and quarantines damage (cache.h).
@@ -64,31 +68,26 @@
 namespace exo2 {
 namespace serve {
 
-/** Daemon configuration. from_env reads the EXO2_SERVE_* variables
- *  noted per field; the retry backoff, I/O timeout and retry-after
- *  hint are set only in code. */
+/** Daemon configuration; from_env reads the EXO2_SERVE_* variable
+ *  noted per field. */
 struct ServeConfig
 {
     std::string socket_path = "/tmp/exo2d.sock";  ///< (EXO2_SERVE_SOCKET)
     int workers = 4;            ///< worker threads (EXO2_SERVE_WORKERS)
     int queue_capacity = 64;    ///< bounded queue (EXO2_SERVE_QUEUE)
     double default_deadline_seconds = 0;  ///< 0 = none (EXO2_SERVE_DEADLINE)
-    int retry_attempts = 3;     ///< transient-fault retries (EXO2_SERVE_RETRIES)
-    double retry_backoff_ms = 25;  ///< first backoff; doubles per attempt
-    double io_timeout_seconds = 30;  ///< per-frame read/write budget
-    int retry_after_ms = 100;   ///< hint sent with `rejected`
 
     /** Defaults overridden by EXO2_SERVE_SOCKET, EXO2_SERVE_WORKERS,
-     *  EXO2_SERVE_QUEUE, EXO2_SERVE_DEADLINE (seconds),
-     *  EXO2_SERVE_RETRIES. Throws ConfigError on out-of-range values
-     *  (util/env.h) — a misconfigured daemon must not start. */
+     *  EXO2_SERVE_QUEUE, EXO2_SERVE_DEADLINE (seconds). Throws
+     *  ConfigError on out-of-range values (util/env.h) — a
+     *  misconfigured daemon must not start. */
     static ServeConfig from_env();
 };
 
-/** Monotonic service counters (stats() and the op=stats response).
- *  A point-in-time copy: the live counters are lock-free atomics, so
- *  sampling them (bench_serve does, mid-run) never touches the queue
- *  mutex or blocks a worker. */
+/** Service counters (stats() and the op=stats response): a read of the
+ *  `serve.*` registry counters (obs/metrics.h). Like every registry
+ *  counter they are process-wide and monotonic until
+ *  obs::reset_metrics(); one daemon runs per exo2d process. */
 struct ServeStats
 {
     uint64_t connections = 0;
@@ -97,7 +96,6 @@ struct ServeStats
     uint64_t degraded = 0;        ///< responses with status degraded
     uint64_t rejected = 0;        ///< backpressure/drain rejections
     uint64_t errors = 0;          ///< responses with status error
-    uint64_t retries = 0;         ///< transient-fault retry sleeps
     uint64_t queue_peak = 0;      ///< high-water mark of queue depth
     uint64_t deadline_expired = 0;  ///< budget gone before dequeue
     /** Schedule submissions refused at admission because the static
@@ -114,7 +112,7 @@ class Daemon
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
 
-    /** Bind the socket and start listener + workers. Throws
+    /** Bind the socket and start the I/O thread + workers. Throws
      *  ConfigError when the socket cannot be created (path too long,
      *  directory missing, ...). */
     void start();
@@ -134,15 +132,18 @@ class Daemon
     bool running() const { return running_.load(); }
     bool draining() const { return draining_.load(); }
     const ServeConfig& config() const { return cfg_; }
-    /** Atomic snapshot of the live counters; never blocks a worker. */
+    /** The counters, read one by one; never blocks a worker. */
     ServeStats stats() const;
 
   private:
     struct Conn;
     struct Job;
 
-    void listener_main();
-    void connection_main(std::shared_ptr<Conn> conn);
+    void io_main();
+    /** Answer a control op inline, or admit the request to the queue
+     *  (or reject it). Runs on the I/O thread. */
+    void dispatch(const std::shared_ptr<Conn>& conn,
+                  const std::string& payload);
     void worker_main();
 
     /** Handle one decoded request end-to-end (never throws). */
@@ -157,37 +158,19 @@ class Daemon
     void send_response(const std::shared_ptr<Conn>& conn,
                        const ServeResponse& resp);
 
-    /** Lock-free mirror of ServeStats: every counter bumps through a
-     *  relaxed atomic, so op=stats and bench sampling are wait-free
-     *  with respect to the worker queue (whose mutex now guards only
-     *  the queue). */
-    struct AtomicStats
-    {
-        std::atomic<uint64_t> connections{0};
-        std::atomic<uint64_t> requests{0};
-        std::atomic<uint64_t> completed{0};
-        std::atomic<uint64_t> degraded{0};
-        std::atomic<uint64_t> rejected{0};
-        std::atomic<uint64_t> errors{0};
-        std::atomic<uint64_t> retries{0};
-        std::atomic<uint64_t> queue_peak{0};
-        std::atomic<uint64_t> deadline_expired{0};
-        std::atomic<uint64_t> lint_rejects{0};
-    };
-
     ServeConfig cfg_;
     int listen_fd_ = -1;
 
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
 
-    mutable std::mutex mu_;           ///< queue only
+    std::mutex mu_;  ///< guards queue_
     std::condition_variable queue_cv_;
     std::deque<Job> queue_;
-    AtomicStats stats_;
     /** Generates "r<n>" request ids for frames that arrive without
-     *  one, so telemetry can always attribute a request. */
-    std::atomic<uint64_t> req_seq_{0};
+     *  one, so telemetry can always attribute a request. I/O thread
+     *  only. */
+    uint64_t req_seq_ = 0;
 
     /** The scheduling engine (analysis memo caches, cost-sim cache,
      *  interning tables) is single-threaded by design (ROADMAP);
@@ -195,10 +178,8 @@ class Daemon
      *  and backpressure run outside it. */
     std::mutex engine_mu_;
 
-    std::thread listener_;
+    std::thread io_;
     std::vector<std::thread> workers_;
-    std::vector<std::thread> conns_;
-    std::mutex conns_mu_;
 };
 
 }  // namespace serve

@@ -4,10 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/ir/errors.h"
 
@@ -21,91 +23,70 @@ namespace {
 bool
 wait_ready(int fd, short events, double timeout_seconds)
 {
-    int ms = timeout_seconds <= 0
-                 ? 0
-                 : static_cast<int>(timeout_seconds * 1000.0 + 0.5);
-    if (ms < 1)
-        ms = 1;
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
-    for (;;) {
-        int rc = poll(&pfd, 1, ms);
-        if (rc > 0)
-            return (pfd.revents & (events | POLLHUP | POLLERR)) != 0;
-        if (rc == 0)
-            return false;  // timeout
-        if (errno == EINTR)
-            continue;
-        return false;
+    struct pollfd pfd = {fd, events, 0};
+    int ms = std::max(1, static_cast<int>(timeout_seconds * 1000.0 + 0.5));
+    int rc;
+    while ((rc = poll(&pfd, 1, ms)) < 0 && errno == EINTR) {
     }
+    return rc > 0 && (pfd.revents & (events | POLLHUP | POLLERR)) != 0;
 }
 
+/** Send (`sending`) or receive all `len` bytes, waiting at most
+ *  `timeout_seconds` each time the socket is not ready. False on a
+ *  timeout, an error, or EOF mid-frame. */
 bool
-write_all(int fd, const char* data, size_t len, double timeout_seconds)
+transfer_all(int fd, char* data, size_t len, bool sending,
+             double timeout_seconds)
 {
     size_t off = 0;
     while (off < len) {
         // MSG_NOSIGNAL: a peer that hung up must surface as EPIPE,
         // not kill the daemon with SIGPIPE.
-        ssize_t n = send(fd, data + off, len - off, MSG_NOSIGNAL);
-        if (n > 0) {
+        ssize_t n = sending ? send(fd, data + off, len - off, MSG_NOSIGNAL)
+                            : recv(fd, data + off, len - off, 0);
+        if (n > 0)
             off += static_cast<size_t>(n);
-            continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            if (!wait_ready(fd, POLLOUT, timeout_seconds))
+        else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            if (!wait_ready(fd, sending ? POLLOUT : POLLIN,
+                            timeout_seconds))
                 return false;
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        return false;
+        } else if (n == 0 || errno != EINTR)
+            return false;
     }
     return true;
 }
 
-bool
-read_all(int fd, char* data, size_t len, double timeout_seconds)
+/** The little-endian payload length of a 4-byte frame header. */
+uint32_t
+frame_length(const char* hdr)
 {
-    size_t off = 0;
-    while (off < len) {
-        ssize_t n = recv(fd, data + off, len - off, 0);
-        if (n > 0) {
-            off += static_cast<size_t>(n);
-            continue;
-        }
-        if (n == 0)
-            return false;  // EOF mid-frame
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            if (!wait_ready(fd, POLLIN, timeout_seconds))
-                return false;
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        return false;
-    }
-    return true;
+    uint32_t len = 0;
+    for (int i = 3; i >= 0; i--)
+        len = (len << 8) | static_cast<unsigned char>(hdr[i]);
+    return len;
 }
 
 }  // namespace
 
 bool
-write_frame(int fd, const std::string& payload, double timeout_seconds)
+append_frame(std::string* buf, const std::string& payload)
 {
     if (payload.size() > kMaxFrameBytes)
         return false;
     uint32_t len = static_cast<uint32_t>(payload.size());
-    char hdr[4] = {static_cast<char>(len & 0xff),
-                   static_cast<char>((len >> 8) & 0xff),
-                   static_cast<char>((len >> 16) & 0xff),
-                   static_cast<char>((len >> 24) & 0xff)};
-    if (!write_all(fd, hdr, 4, timeout_seconds))
-        return false;
-    return write_all(fd, payload.data(), payload.size(),
-                     timeout_seconds);
+    for (int i = 0; i < 4; i++)
+        buf->push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+    buf->append(payload);
+    return true;
+}
+
+bool
+write_frame(int fd, const std::string& payload, double timeout_seconds)
+{
+    std::string frame;
+    return append_frame(&frame, payload) &&
+           transfer_all(fd, &frame[0], frame.size(), true,
+                        timeout_seconds);
 }
 
 bool
@@ -114,18 +95,30 @@ read_frame(int fd, std::string* out, double timeout_seconds)
     char hdr[4];
     if (!wait_ready(fd, POLLIN, timeout_seconds))
         return false;
-    if (!read_all(fd, hdr, 4, timeout_seconds))
+    if (!transfer_all(fd, hdr, 4, false, timeout_seconds))
         return false;
-    uint32_t len = (static_cast<uint32_t>(static_cast<unsigned char>(hdr[0]))) |
-                   (static_cast<uint32_t>(static_cast<unsigned char>(hdr[1])) << 8) |
-                   (static_cast<uint32_t>(static_cast<unsigned char>(hdr[2])) << 16) |
-                   (static_cast<uint32_t>(static_cast<unsigned char>(hdr[3])) << 24);
+    uint32_t len = frame_length(hdr);
     if (len > kMaxFrameBytes)
         return false;  // corrupt prefix; don't trust it with memory
     out->resize(len);
     if (len == 0)
         return true;
-    return read_all(fd, &(*out)[0], len, timeout_seconds);
+    return transfer_all(fd, &(*out)[0], len, false, timeout_seconds);
+}
+
+FrameStatus
+take_frame(const std::string& buf, size_t* pos, std::string* out)
+{
+    if (buf.size() - *pos < 4)
+        return FrameStatus::Incomplete;
+    uint32_t len = frame_length(buf.data() + *pos);
+    if (len > kMaxFrameBytes)
+        return FrameStatus::Oversized;
+    if (buf.size() - *pos - 4 < len)
+        return FrameStatus::Incomplete;
+    out->assign(buf, *pos + 4, len);
+    *pos += 4 + len;
+    return FrameStatus::Complete;
 }
 
 std::string
@@ -194,43 +187,27 @@ decode_kv(const std::string& text)
 
 namespace {
 
-int
-kv_int(const std::map<std::string, std::string>& kv, const char* key,
-       int fallback)
+/** A numeric field: `fallback` when absent or empty; ConfigError
+ *  unless the whole value parses as a T. */
+template <typename T>
+T
+kv_num(const std::map<std::string, std::string>& kv, const char* key,
+       T fallback)
 {
     auto it = kv.find(key);
     if (it == kv.end() || it->second.empty())
         return fallback;
     try {
         size_t used = 0;
-        int v = std::stoi(it->second, &used);
-        if (used != it->second.size())
-            throw std::invalid_argument(it->second);
-        return v;
+        T v = std::is_integral_v<T> ? std::stoi(it->second, &used)
+                                    : std::stod(it->second, &used);
+        if (used == it->second.size())
+            return v;
     } catch (const std::exception&) {
-        throw ConfigError(std::string("request field '") + key +
-                          "' = '" + it->second +
-                          "' is not an integer");
     }
-}
-
-double
-kv_double(const std::map<std::string, std::string>& kv, const char* key,
-          double fallback)
-{
-    auto it = kv.find(key);
-    if (it == kv.end() || it->second.empty())
-        return fallback;
-    try {
-        size_t used = 0;
-        double v = std::stod(it->second, &used);
-        if (used != it->second.size())
-            throw std::invalid_argument(it->second);
-        return v;
-    } catch (const std::exception&) {
-        throw ConfigError(std::string("request field '") + key +
-                          "' = '" + it->second + "' is not a number");
-    }
+    throw ConfigError(std::string("request field '") + key + "' = '" +
+                      it->second + "' is not " +
+                      (std::is_integral_v<T> ? "an integer" : "a number"));
 }
 
 std::string
@@ -282,12 +259,12 @@ ServeRequest::from_wire(const std::string& payload)
     r.kernel = kv_str(kv, "kernel", "");
     r.machine = kv_str(kv, "machine", "AVX2");
     r.sizes = kv_str(kv, "sizes", "");
-    r.deadline_ms = kv_double(kv, "deadline_ms", 0);
-    r.beam = kv_int(kv, "beam", 0);
-    r.rounds = kv_int(kv, "rounds", 0);
-    r.restarts = kv_int(kv, "restarts", -1);
-    r.jit_topk = kv_int(kv, "jit_topk", -1);
-    r.validate = kv_int(kv, "validate", -1);
+    r.deadline_ms = kv_num<double>(kv, "deadline_ms", 0);
+    r.beam = kv_num<int>(kv, "beam", 0);
+    r.rounds = kv_num<int>(kv, "rounds", 0);
+    r.restarts = kv_num<int>(kv, "restarts", -1);
+    r.jit_topk = kv_num<int>(kv, "jit_topk", -1);
+    r.validate = kv_num<int>(kv, "validate", -1);
     r.script = kv_str(kv, "script", "");
     return r;
 }
@@ -328,24 +305,18 @@ ServeResponse::from_wire(const std::string& payload)
     r.id = kv_str(kv, "id", "");
     r.status = kv_str(kv, "status", "error");
     r.detail = kv_str(kv, "detail", "");
-    r.retry_after_ms = kv_int(kv, "retry_after_ms", 0);
+    r.retry_after_ms = kv_num<int>(kv, "retry_after_ms", 0);
     r.script = kv_str(kv, "script", "");
-    r.cost = kv_double(kv, "cost", 0);
-    r.naive_cost = kv_double(kv, "naive_cost", 0);
-    r.validated = kv_int(kv, "validated", 0) != 0;
-    r.from_cache = kv_int(kv, "from_cache", 0) != 0;
-    r.elapsed_ms = kv_double(kv, "elapsed_ms", 0);
-    for (const auto& [k, v] : kv) {
-        static const char* known[] = {
-            "id", "status", "detail", "retry_after_ms", "script",
-            "cost", "naive_cost", "validated", "from_cache",
-            "elapsed_ms"};
-        bool is_known = false;
-        for (const char* n : known)
-            is_known = is_known || k == n;
-        if (!is_known)
-            r.extra[k] = v;
-    }
+    r.cost = kv_num<double>(kv, "cost", 0);
+    r.naive_cost = kv_num<double>(kv, "naive_cost", 0);
+    r.validated = kv_num<int>(kv, "validated", 0) != 0;
+    r.from_cache = kv_num<int>(kv, "from_cache", 0) != 0;
+    r.elapsed_ms = kv_num<double>(kv, "elapsed_ms", 0);
+    r.extra = std::move(kv);
+    for (const char* known :
+         {"id", "status", "detail", "retry_after_ms", "script", "cost",
+          "naive_cost", "validated", "from_cache", "elapsed_ms"})
+        r.extra.erase(known);
     return r;
 }
 

@@ -54,9 +54,11 @@
  * is not among them. `rejected` means the bounded queue (or a drain
  * in progress) refused admission — retry after `retry_after_ms`.
  * `degraded` means a usable-but-weaker answer (deadline-cut search,
- * naive fallback). `error` is reserved for malformed or unsatisfiable
- * requests, never for transient faults (those are retried inside the
- * daemon and surface as degraded at worst).
+ * naive fallback, or a tune that asked for validation and got none).
+ * `error` is reserved for malformed or unsatisfiable requests, never
+ * for transient faults: the tuner scores a faulting candidate
+ * infeasible and the tri-oracle reports a fault instead of throwing,
+ * so a fault surfaces as degraded at worst.
  */
 
 #include <cstdint>
@@ -71,8 +73,12 @@ namespace serve {
 constexpr uint32_t kMaxFrameBytes = 8u << 20;
 
 // ---------------------------------------------------------------------------
-// Framing (blocking fd + poll timeout; fd is a connected stream socket)
+// Framing (fd is a connected stream socket; waits are poll-bounded)
 // ---------------------------------------------------------------------------
+
+/** Append `payload` as a length-prefixed frame to `*buf`. False
+ *  (nothing appended) when it exceeds kMaxFrameBytes. */
+bool append_frame(std::string* buf, const std::string& payload);
 
 /** Write a length-prefixed frame. False on error/timeout/EPIPE (the
  *  caller treats the connection as dead; never raises SIGPIPE). */
@@ -82,6 +88,22 @@ bool write_frame(int fd, const std::string& payload,
 /** Read one frame into `*out`. Returns false on EOF, timeout, a
  *  malformed length, or a short read. */
 bool read_frame(int fd, std::string* out, double timeout_seconds);
+
+/** Outcome of take_frame. */
+enum class FrameStatus
+{
+    Incomplete,  ///< more bytes needed; nothing consumed
+    Complete,    ///< one payload decoded and consumed
+    Oversized,   ///< length prefix over kMaxFrameBytes: drop the stream
+};
+
+/** Decode the frame starting at `buf[*pos]` (the bytes received so far
+ *  on a non-blocking stream) into `*out`, advancing `*pos` past it
+ *  when it is complete. The length prefix is checked as soon as its 4
+ *  bytes are in, so a corrupt prefix is refused before its payload is
+ *  buffered. */
+FrameStatus take_frame(const std::string& buf, size_t* pos,
+                       std::string* out);
 
 // ---------------------------------------------------------------------------
 // Payload encoding

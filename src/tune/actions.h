@@ -54,7 +54,7 @@ namespace tune {
  * a bump invalidates every cached script, which is exactly the safe
  * behavior (DESIGN.md §8).
  */
-constexpr int kScheduleLibraryVersion = 1;
+constexpr int kScheduleLibraryVersion = 2;
 
 /** The tunable action space, parameterized by the machine. */
 struct TuneSpace

@@ -81,6 +81,16 @@ tune_cache_key(const ProcPtr& p, const Machine& machine,
     return key;
 }
 
+ScalarType
+tune_precision(const ProcPtr& p)
+{
+    for (const ProcArg& a : p->args()) {
+        if (!a.dims.empty())
+            return is_float(a.type) ? a.type : ScalarType::F32;
+    }
+    return ScalarType::F32;
+}
+
 TuneResult
 autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
 {
@@ -92,14 +102,11 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         opts.beam_width = 1;
     if (opts.measure_sizes.empty())
         opts.measure_sizes = opts.tune_sizes;
-    if (opts.validate_sizes.empty())
-        opts.validate_sizes = opts.tune_sizes;
 
     for (const auto& [label, env] :
          {std::pair<const char*, const SizeEnv&>{"tune_sizes",
                                                  opts.tune_sizes},
-          {"measure_sizes", opts.measure_sizes},
-          {"validate_sizes", opts.validate_sizes}}) {
+          {"measure_sizes", opts.measure_sizes}}) {
         for (const auto& a : p->args()) {
             if ((a.is_size ||
                  (a.dims.empty() && a.type == ScalarType::Index)) &&
@@ -171,7 +178,7 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
                     EXO2_SPAN("tune.validate", {{"source", "cache"}});
                     verify::TriOracleReport rep =
                         verify::tri_oracle_check(p, r.best,
-                                                 opts.validate_sizes,
+                                                 opts.tune_sizes,
                                                  opts.validate_seed);
                     if (!rep.ok)
                         throw VerifyError(
@@ -190,7 +197,8 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         }
     }
 
-    TuneSpace space = default_space(machine, opts.precision, opts.cost);
+    const ScalarType precision = tune_precision(p);
+    TuneSpace space = default_space(machine, precision, opts.cost);
 
     auto score = [&](const ProcPtr& q) {
         result.stats.states_scored++;
@@ -223,15 +231,14 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
         if (st.digest == init.digest) {
             if (!init_enumerated) {
                 init_actions = enumerate_actions(st.proc, machine,
-                                                 opts.precision, space);
+                                                 precision, space);
                 init_enumerated = true;
                 result.stats.actions_enumerated +=
                     static_cast<int>(init_actions.size());
             }
             return init_actions;
         }
-        *storage = enumerate_actions(st.proc, machine, opts.precision,
-                                     space);
+        *storage = enumerate_actions(st.proc, machine, precision, space);
         result.stats.actions_enumerated +=
             static_cast<int>(storage->size());
         return *storage;
@@ -468,7 +475,7 @@ autotune(const ProcPtr& p, const Machine& machine, const TuneOpts& opts_in)
             EXO2_SPAN("tune.validate",
                       {{"candidate", static_cast<int>(i)}});
             verify::TriOracleReport rep = verify::tri_oracle_check(
-                p, ranked[i].proc, opts.validate_sizes,
+                p, ranked[i].proc, opts.tune_sizes,
                 opts.validate_seed);
             if (rep.ok) {
                 chosen = i;

@@ -64,8 +64,6 @@ struct TuneOpts
     SizeEnv tune_sizes;
     /** Machine model for scoring. */
     CostConfig cost;
-    /** Precision the action library vectorizes at. */
-    ScalarType precision = ScalarType::F32;
 
     // -- JIT-measured refinement ----------------------------------------
     /** Re-rank the top-k cost-model survivors by real wall clock
@@ -86,11 +84,10 @@ struct TuneOpts
     bool lint = true;
 
     // -- Validation ------------------------------------------------------
-    /** Tri-oracle-check the winner against the input proc before
-     *  reporting it (candidates that fail are discarded). */
+    /** Tri-oracle-check the winner against the input proc at
+     *  `tune_sizes` before reporting it (candidates that fail are
+     *  discarded). */
     bool validate = true;
-    /** Sizes for validation; empty = `tune_sizes`. */
-    SizeEnv validate_sizes;
     uint64_t validate_seed = 4242;
 
     // -- Service behavior -------------------------------------------------
@@ -166,6 +163,14 @@ struct TuneResult
  */
 TuneResult autotune(const ProcPtr& p, const Machine& machine,
                     const TuneOpts& opts);
+
+/**
+ * The precision `autotune` vectorizes `p` at: the element type of its
+ * first tensor argument (f32 for sdsdot/dsdot, whose inputs are f32).
+ * F32 when that type is not floating point or `p` has no tensor
+ * argument — vector instruction sets exist only for f32 and f64.
+ */
+ScalarType tune_precision(const ProcPtr& p);
 
 /**
  * Apply one schedule-script step. Understands the tuner vocabulary

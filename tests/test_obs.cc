@@ -562,8 +562,7 @@ class ObsDaemonTest : public ObsTest
         ObsTest::SetUp();
         for (const char* v :
              {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
-              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
-              "EXO2_SERVE_RETRIES"})
+              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE"})
             unsetenv(v);
     }
 };
@@ -691,7 +690,7 @@ TEST_F(ObsDaemonTest, MetricsReadEngineCountersWhileATuneRuns)
     serve::Daemon d(cfg);
     d.start();
 
-    // op=metrics answers inline on its connection thread while the
+    // op=metrics answers inline on the I/O thread while the
     // worker's tune bumps the engine counters: the snapshot must be a
     // race-free read (TSan runs this test).
     std::atomic<bool> done{false};

@@ -4,7 +4,9 @@
  * an in-process Daemon exercised over a real unix-domain socket —
  * ping/stats, cold and cache-hit tunes, script replay, malformed
  * requests, backpressure under a saturated bounded queue, injected
- * queue_full faults, deadline degradation, graceful drain — and the
+ * queue_full faults, deadline degradation, graceful drain, one I/O
+ * thread for every connection (stalled, slow and corrupt clients
+ * included), unvalidated answers under injected faults — and the
  * crash-only story: a forked daemon killed with SIGKILL, restarted,
  * and observed self-healing from the persistent caches.
  */
@@ -13,17 +15,21 @@
 
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/cache/cache.h"
+#include "src/obs/metrics.h"
 #include "src/serve/client.h"
 #include "src/serve/daemon.h"
 #include "src/serve/protocol.h"
@@ -86,12 +92,12 @@ class ServeTest : public ::testing::Test
     {
         for (const char* v :
              {"EXO2_CACHE_DIR", "EXO2_FAULTS", "EXO2_SERVE_SOCKET", "EXO2_SERVE_WORKERS",
-              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE",
-              "EXO2_SERVE_RETRIES"})
+              "EXO2_SERVE_QUEUE", "EXO2_SERVE_DEADLINE"})
             unsetenv(v);
-        cache::reset_cache_stats();
+        // The serve, cache and fault counters are process-wide
+        // registry counters; each test counts from zero.
+        obs::reset_metrics();
         verify::clear_fault_spec();
-        verify::reset_fault_injection_counts();
     }
     void TearDown() override
     {
@@ -185,6 +191,23 @@ TEST_F(ServeTest, FramingRejectsCorruptLengthPrefix)
     EXPECT_FALSE(read_frame(sv[1], &got, 1.0));
     close(sv[0]);
     close(sv[1]);
+
+    // Frames decoded from a receive buffer: a partial frame consumes
+    // nothing, and a corrupt prefix is refused before its payload.
+    std::string buf("\x03\0\0\0abc\x02\0\0\0de", 13);
+    size_t pos = 0;
+    EXPECT_EQ(take_frame(buf.substr(0, 6), &pos, &got),
+              FrameStatus::Incomplete);
+    EXPECT_EQ(pos, 0u);
+    ASSERT_EQ(take_frame(buf, &pos, &got), FrameStatus::Complete);
+    EXPECT_EQ(got, "abc");
+    ASSERT_EQ(take_frame(buf, &pos, &got), FrameStatus::Complete);
+    EXPECT_EQ(got, "de");
+    EXPECT_EQ(pos, buf.size());
+    EXPECT_EQ(take_frame(buf, &pos, &got), FrameStatus::Incomplete);
+    std::string bomb(reinterpret_cast<const char*>(huge), 4);
+    pos = 0;
+    EXPECT_EQ(take_frame(bomb, &pos, &got), FrameStatus::Oversized);
 }
 
 TEST_F(ServeTest, ConfigFromEnvValidates)
@@ -511,6 +534,292 @@ TEST_F(ServeTest, QueuedWorkFinishesDuringDrain)
     EXPECT_TRUE(resp.ok() || resp.degraded())
         << resp.status << ": " << resp.detail;
     d.join();
+}
+
+TEST_F(ServeTest, UnvalidatedTuneAnswersDegraded)
+{
+    ServeConfig cfg = test_config("unvalidated");
+    Daemon d(cfg);
+    d.start();
+    ServeClient client(cfg.socket_path);
+
+    // Every C-oracle build fails, so the tri-oracle can pass no
+    // candidate: the tune asked for validation and got none.
+    verify::set_fault_spec(verify::parse_fault_spec("compile_fail=1"));
+    ServeRequest req = tune_request();
+    req.validate = 1;
+    ServeResponse resp;
+    ASSERT_TRUE(client.call(req, &resp));
+    EXPECT_TRUE(resp.degraded()) << resp.status << ": " << resp.detail;
+    EXPECT_FALSE(resp.validated);
+    EXPECT_NE(resp.detail.find("validation unavailable"),
+              std::string::npos)
+        << resp.detail;
+    EXPECT_GE(verify::fault_injection_counts().compile_fail, 1u);
+    verify::clear_fault_spec();
+    d.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Connections: one I/O thread, non-blocking sockets
+// ---------------------------------------------------------------------------
+
+/** A raw non-blocking stream connection to the daemon (-1 on
+ *  failure), for tests that write partial or corrupt frames; the
+ *  framing helpers bound every wait on it. */
+int
+connect_raw(const std::string& path)
+{
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (fd >= 0 && connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+        close(fd);
+        fd = -1;
+    }
+    return fd;
+}
+
+/** A request frame: 4-byte little-endian length, then the payload. */
+std::string
+frame_bytes(const ServeRequest& req)
+{
+    std::string payload = req.to_wire();
+    uint32_t len = static_cast<uint32_t>(payload.size());
+    std::string out;
+    for (int i = 0; i < 4; i++)
+        out += static_cast<char>((len >> (8 * i)) & 0xff);
+    return out + payload;
+}
+
+ServeRequest
+ping_request(const char* id)
+{
+    ServeRequest req;
+    req.id = id;
+    req.op = "ping";
+    return req;
+}
+
+/** The `Threads:` line of /proc/self/status. */
+int
+thread_count()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    }
+    return -1;
+}
+
+TEST_F(ServeTest, OpenConnectionsAddNoThreads)
+{
+    ServeConfig cfg = test_config("threads");
+    Daemon d(cfg);
+    d.start();
+    int before = thread_count();
+    ASSERT_GT(before, 0);
+
+    // Every connection answers a ping, so all 32 are accepted and
+    // being served while the count is taken.
+    std::vector<std::unique_ptr<ServeClient>> clients;
+    for (int i = 0; i < 32; i++) {
+        clients.push_back(std::make_unique<ServeClient>(cfg.socket_path));
+        ServeResponse resp;
+        ASSERT_TRUE(clients.back()->call(ping_request("p"), &resp));
+        ASSERT_TRUE(resp.ok());
+    }
+    EXPECT_EQ(thread_count(), before);
+    EXPECT_EQ(d.stats().connections, 32u);
+    clients.clear();
+    d.stop();
+}
+
+TEST_F(ServeTest, StopIsPromptWhileAClientHoldsAHalfSentFrame)
+{
+    ServeConfig cfg = test_config("stall");
+    Daemon d(cfg);
+    d.start();
+    int fd = connect_raw(cfg.socket_path);
+    ASSERT_GE(fd, 0);
+    // The header and half the payload, then nothing.
+    std::string f = frame_bytes(ping_request("stalled"));
+    size_t half = 4 + (f.size() - 4) / 2;
+    ASSERT_EQ(write(fd, f.data(), half), static_cast<ssize_t>(half));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // Should stop() wait on the stalled client, the client gives up
+    // after 5 s, so this test fails instead of hanging.
+    std::atomic<bool> stopped{false};
+    std::thread giveup([&] {
+        for (int i = 0; i < 500 && !stopped.load(); i++)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        shutdown(fd, SHUT_RDWR);
+    });
+    auto t0 = std::chrono::steady_clock::now();
+    d.stop();
+    double s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    stopped.store(true);
+    giveup.join();
+    close(fd);
+    EXPECT_LT(s, 2.0);
+    EXPECT_FALSE(d.running());
+}
+
+TEST_F(ServeTest, FrameSplitAcrossASlowSendIsStillAnswered)
+{
+    ServeConfig cfg = test_config("slow");
+    Daemon d(cfg);
+    d.start();
+    int fd = connect_raw(cfg.socket_path);
+    ASSERT_GE(fd, 0);
+
+    std::string f = frame_bytes(ping_request("slow"));
+    ASSERT_EQ(write(fd, f.data(), 4), 4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    ASSERT_EQ(write(fd, f.data() + 4, f.size() - 4),
+              static_cast<ssize_t>(f.size() - 4));
+    std::string got;
+    ASSERT_TRUE(read_frame(fd, &got, 5.0));
+    ServeResponse resp = ServeResponse::from_wire(got);
+    EXPECT_TRUE(resp.ok());
+    EXPECT_EQ(resp.id, "slow");
+
+    // The buffer is left clean: the next frame on the same connection
+    // is answered too.
+    ASSERT_TRUE(write_frame(fd, ping_request("next").to_wire(), 5.0));
+    ASSERT_TRUE(read_frame(fd, &got, 5.0));
+    resp = ServeResponse::from_wire(got);
+    EXPECT_TRUE(resp.ok());
+    EXPECT_EQ(resp.id, "next");
+    close(fd);
+    d.stop();
+}
+
+TEST_F(ServeTest, OversizedLengthPrefixClosesOnlyThatConnection)
+{
+    ServeConfig cfg = test_config("bomb");
+    Daemon d(cfg);
+    d.start();
+    ServeClient other(cfg.socket_path);
+    ServeResponse resp;
+    ASSERT_TRUE(other.call(ping_request("before"), &resp));
+
+    int fd = connect_raw(cfg.socket_path);
+    ASSERT_GE(fd, 0);
+    unsigned char huge[4] = {0xff, 0xff, 0xff, 0x7f};
+    ASSERT_EQ(write(fd, huge, 4), 4);
+    // The daemon hangs up: the read sees EOF, not a response.
+    std::string got;
+    EXPECT_FALSE(read_frame(fd, &got, 5.0));
+    char b;
+    EXPECT_EQ(recv(fd, &b, 1, MSG_DONTWAIT), 0);
+    close(fd);
+
+    ASSERT_TRUE(other.call(ping_request("after"), &resp));
+    EXPECT_TRUE(resp.ok());
+    EXPECT_EQ(resp.id, "after");
+    d.stop();
+}
+
+/** Pipeline pings on `fd` until the socket takes no more for 0.5 s
+ *  (the daemon stopped reading it) or `limit` frames are sent. */
+int
+flood_pings(int fd, int limit)
+{
+    std::string wire = ping_request("flood").to_wire();
+    int sent = 0;
+    while (sent < limit && write_frame(fd, wire, 0.5))
+        sent++;
+    return sent;
+}
+
+/** Seconds one ping on a fresh connection takes to be answered. */
+double
+ping_seconds(const std::string& path)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    ServeClient c(path);
+    ServeResponse resp;
+    if (!c.call(ping_request("other"), &resp) || !resp.ok())
+        return 1e9;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+TEST_F(ServeTest, ClientThatNeverReadsStallsNoOneElse)
+{
+    ServeConfig cfg = test_config("noread");
+    Daemon d(cfg);
+    d.start();
+    int fd = connect_raw(cfg.socket_path);
+    ASSERT_GE(fd, 0);
+
+    // Once its unread answers pass the high-water mark the daemon
+    // stops reading this client, so the flood ends instead of growing
+    // the daemon's buffers.
+    auto t0 = std::chrono::steady_clock::now();
+    int sent = flood_pings(fd, 1000000);
+    double flood_s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_LT(sent, 1000000);
+    EXPECT_LT(flood_s, 4.0);
+
+    EXPECT_LT(ping_seconds(cfg.socket_path), 0.25);
+    t0 = std::chrono::steady_clock::now();
+    d.stop();
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              2.0);
+    close(fd);
+}
+
+TEST_F(ServeTest, SlowReaderStallsNoOneElse)
+{
+    ServeConfig cfg = test_config("slowread");
+    Daemon d(cfg);
+    d.start();
+    int fd = connect_raw(cfg.socket_path);
+    ASSERT_GE(fd, 0);
+
+    // The client pipelines pings and takes 100 answers every 50 ms: its
+    // socket keeps making room, so no wait for room on it is long, but
+    // its answers pile up faster than it reads them.
+    std::atomic<bool> done{false};
+    std::atomic<int> taken{0};
+    std::thread writer([&] { flood_pings(fd, 5000); });
+    std::thread reader([&] {
+        std::string got;
+        while (!done.load() && read_frame(fd, &got, 5.0)) {
+            if (++taken % 100 == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (int i = 0; i < 5; i++)
+        EXPECT_LT(ping_seconds(cfg.socket_path), 0.25);
+    EXPECT_GT(taken.load(), 0);
+
+    auto t0 = std::chrono::steady_clock::now();
+    d.stop();
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              2.0);
+    done.store(true);
+    writer.join();
+    reader.join();
+    close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
  * legality predicate disagrees with its apply is an engine bug),
  * serialization round-trips, search determinism (same seed + opts =>
  * identical winning script, bit-for-bit replayable), cost-cache
- * accounting, and tri-oracle validation of winners.
+ * accounting, tri-oracle validation of winners, and the vectorization
+ * precision read off the kernel.
  */
 
 #include <gtest/gtest.h>
@@ -306,6 +307,32 @@ TEST(TuneSearch, EnvironmentNeverOverridesExplicitOpts)
     EXPECT_EQ(verify::script_to_string(r.script),
               verify::script_to_string(clean.script));
     EXPECT_TRUE(rc.degraded);
+}
+
+TEST(TuneSearch, PrecisionIsTheFirstTensorArgumentsType)
+{
+    for (const auto* level :
+         {&kernels::blas_level1(), &kernels::blas_level2()}) {
+        for (const kernels::KernelDef& k : *level)
+            EXPECT_EQ(tune::tune_precision(k.proc), k.prec) << k.name;
+    }
+}
+
+TEST(TuneSearch, F64KernelsVectorizeAtF64)
+{
+    // Tuned at f32, every t_vectorize on an f64 kernel fails and the
+    // winner stays scalar.
+    ProcPtr p = kernels::find_kernel("ddot").proc;
+    TuneOpts o;
+    o.tune_sizes = {{"n", 2048}};
+    o.beam_width = 4;
+    o.max_rounds = 4;
+    tune::TuneResult r = tune::autotune(p, machine_avx2(), o);
+    std::string script = verify::script_to_string(r.script);
+    EXPECT_NE(script.find("t_vectorize["), std::string::npos) << script;
+    EXPECT_NE(script.find(";AVX2,f64]"), std::string::npos) << script;
+    EXPECT_TRUE(r.validated);
+    EXPECT_LT(r.cost, r.naive_cost);
 }
 
 TEST(TuneSearch, JitRerankSmoke)

@@ -2,21 +2,23 @@
  * @file
  * exo2d — the scheduling daemon (DESIGN.md §8).
  *
- * Serves tune/schedule requests over a unix-domain socket using the
- * persistent caches when EXO2_CACHE_DIR is set. Configuration comes
- * from EXO2_SERVE_* (see serve::ServeConfig::from_env) with a few
- * command-line overrides:
+ * Serves tune/schedule/lint requests over a unix-domain socket — one
+ * I/O thread for every client connection plus a pool of worker
+ * threads — using the persistent caches when EXO2_CACHE_DIR is set.
+ * Configuration comes from EXO2_SERVE_SOCKET, EXO2_SERVE_WORKERS,
+ * EXO2_SERVE_QUEUE and EXO2_SERVE_DEADLINE (see
+ * serve::ServeConfig::from_env) with a few command-line overrides:
  *
- *   exo2d [--socket PATH] [--workers N] [--queue N] [--once]
+ *   exo2d [--socket PATH] [--workers N] [--queue N]
  *
- * --once exits after the first graceful drain (shutdown request or
- * SIGTERM); the default is to keep serving until signalled.
+ * exo2d exits after its first graceful drain (a shutdown request or
+ * SIGTERM).
  *
  * SIGTERM/SIGINT begin a drain: stop admitting (late arrivals get
- * `rejected`/"draining"), finish every queued request, flush is free
- * (cache writes are write-through), exit 0. SIGKILL is the crash-only
- * path: the next start self-heals the caches and reclaims the stale
- * socket file.
+ * `rejected`/"draining"), finish every queued request, send the
+ * answers (the caches need no flush: their writes are write-through),
+ * exit 0. SIGKILL is the crash-only path: the next start self-heals
+ * the caches and reclaims the stale socket file.
  */
 
 #include <csignal>
@@ -72,8 +74,6 @@ main(int argc, char** argv)
             cfg.workers = std::atoi(need("--workers"));
         } else if (a == "--queue") {
             cfg.queue_capacity = std::atoi(need("--queue"));
-        } else if (a == "--once") {
-            // drain-once is the only mode; flag kept for symmetry
         } else if (a == "--help" || a == "-h") {
             std::cerr << "usage: exo2d [--socket PATH] [--workers N] "
                          "[--queue N]\n";
