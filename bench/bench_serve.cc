@@ -281,9 +281,27 @@ const FaultPhase kFaultPhases[] = {
      "seed=104,compile_fail=0.1,dlopen_fail=0.1,sigsegv=0.05"},
 };
 
+/** Entries one daemon generation quarantined, per cache and reason. */
+struct Quarantines
+{
+    uint64_t tune_corrupt = 0;
+    uint64_t tune_stale = 0;
+    uint64_t jit_corrupt = 0;
+    uint64_t jit_stale = 0;
+
+    void add_daemon_counts(const std::string& socket)
+    {
+        tune_corrupt += stat_of(socket, "tune_cache_corrupt");
+        tune_stale += stat_of(socket, "tune_cache_stale");
+        jit_corrupt += stat_of(socket, "jit_cache_corrupt");
+        jit_stale += stat_of(socket, "jit_cache_stale");
+    }
+};
+
 /** --faults mode: the externally-supplied EXO2_FAULTS spec drives a
- *  multi-client hammer plus a kill -9/restart, vacuity-checked. Used
- *  by scripts/check_serve.sh. */
+ *  multi-client hammer plus a kill -9/restart, vacuity-checked: faults
+ *  must fire, and injected cache damage must also be detected
+ *  (quarantined). Used by scripts/check_serve.sh. */
 int
 run_fault_mode()
 {
@@ -311,6 +329,10 @@ run_fault_mode()
 
     PhaseResult round1 = hammer(cfg.socket_path, 4, false);
     uint64_t fired = stat_of(cfg.socket_path, "faults_fired");
+    // Counted per daemon generation: the kill -9 below loses the
+    // first generation's counters, so read them now.
+    Quarantines q;
+    q.add_daemon_counts(cfg.socket_path);
 
     // kill -9 mid-flight, restart, retry through the outage.
     std::thread killer([&] {
@@ -322,6 +344,7 @@ run_fault_mode()
     PhaseResult round2 = hammer(cfg.socket_path, 4, false, 30);
     killer.join();
     uint64_t fired2 = stat_of(cfg.socket_path, "faults_fired");
+    q.add_daemon_counts(cfg.socket_path);
     kill_daemon(pid);
     unlink(cfg.socket_path.c_str());
 
@@ -332,9 +355,19 @@ run_fault_mode()
               << " degraded=" << round2.degraded
               << " failed=" << round2.failed << " (faults_fired="
               << fired2 << ")\n";
+    std::cerr << "bench_serve --faults: quarantined tune corrupt="
+              << q.tune_corrupt << " stale=" << q.tune_stale
+              << "; jit corrupt=" << q.jit_corrupt
+              << " stale=" << q.jit_stale << "\n";
     if (fired == 0) {
         std::cerr << "bench_serve --faults: no fault fired; the gate "
                      "would be vacuous — failing\n";
+        return 2;
+    }
+    if ((spec.cache_corrupt > 0 && q.tune_corrupt + q.jit_corrupt == 0) ||
+        (spec.cache_stale > 0 && q.tune_stale + q.jit_stale == 0)) {
+        std::cerr << "bench_serve --faults: injected cache damage was "
+                     "never detected (nothing quarantined) — failing\n";
         return 2;
     }
     return (round1.failed == 0 && round2.failed == 0) ? 0 : 1;

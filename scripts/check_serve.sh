@@ -8,9 +8,11 @@
 # restart, and clients retrying through the outage. A pass means zero
 # failed requests — backpressure REJECTED (retried) and flagged
 # `degraded` answers are the only permitted non-ok outcomes — AND a
-# non-zero injected-fault count (bench_serve --faults fails on a
-# vacuous run itself), so the gate proves the service heals instead of
-# dying.
+# non-zero injected-fault count, AND, in a cache_corrupt/cache_stale
+# pass, a non-zero count of entries quarantined as corrupt/stale
+# (bench_serve --faults fails on a vacuous run itself and prints the
+# per-cache counts), so the gate proves the service detects the damage
+# and heals instead of dying.
 #
 # Usage: scripts/check_serve.sh <test_cache> <test_serve> <bench_serve>
 set -euo pipefail

@@ -8,19 +8,24 @@
  * (kernel, machine, sizes) requests millions of times, so tuning
  * winners and compiled kernels survive the process that produced them.
  *
- * Two caches share one on-disk discipline:
+ * Two typed front ends share one entry format and one store, both
+ * private to cache.cc:
  *
  *  - **TuneCache** maps (proc digest, machine, ISA, sizes) to the
  *    replayable schedule-script text of a validated tuning winner
- *    (`verify::script_to_string` round-trips). An entry is a small
- *    text file with a versioned header and an FNV-1a checksum over
- *    the payload.
+ *    (`verify::script_to_string` round-trips), in `<hash>.tune`.
  *
  *  - **CompileCache** maps (generated-C digest, ISA flags, compiler
- *    identity) to a dlopen-able shared object plus a `.meta` sidecar
- *    carrying the object's checksum, validated on every load.
+ *    identity) to the bytes of a dlopen-able shared object, in
+ *    `<hash>.jit`. The JIT writes a hit's bytes into its own build
+ *    directory and loads them exactly as it loads a fresh build.
  *
- * Shared rules, all enforced here and nowhere else:
+ * An entry is one file: a magic line, version lines (a mismatch means
+ * stale), lines echoing the key (a mismatch means a hash collision: a
+ * plain miss), `payload_bytes`, an FNV-1a `checksum`, `---`, then the
+ * payload. Header numbers must parse as whole strings.
+ *
+ * Rules, all enforced in cache.cc and nowhere else:
  *
  *  - Writes are atomic (util::write_file_atomic: unique temp + fsync +
  *    rename) under an advisory `flock` on a per-cache lock file, so
@@ -40,13 +45,13 @@
  *
  * Fault injection (DESIGN.md §8): the `cache_corrupt` / `cache_stale`
  * sites of EXO2_FAULTS damage *real* just-written entry files —
- * bit-flip/truncate, or rewrite the header with an outdated version —
- * so the detection and quarantine paths are exercised against genuine
- * on-disk damage.
+ * bit-flip/truncate, or rewrite the magic line with an older format
+ * version — so the detection and quarantine paths are exercised
+ * against genuine on-disk damage.
  *
  * Caching is opt-in: both caches are disabled unless a directory is
- * given explicitly or `EXO2_CACHE_DIR` is set (tests and one-shot
- * runs stay hermetic by default).
+ * given explicitly (tools and the tuner pass `EXO2_CACHE_DIR`), so
+ * tests and one-shot runs stay hermetic by default.
  */
 
 #include <cstdint>
@@ -127,11 +132,7 @@ class TuneCache
      *  use, with orphaned temp files swept immediately. */
     explicit TuneCache(std::string dir);
 
-    /** Env-configured convenience: TuneCache(cache_dir_from_env()). */
-    TuneCache();
-
     bool enabled() const { return !dir_.empty(); }
-    const std::string& dir() const { return dir_; }
 
     /** Look up `key`. Corrupt/truncated/stale entries are quarantined
      *  and reported as std::nullopt (a miss); never throws. */
@@ -166,16 +167,15 @@ struct CompileKey
 class CompileCache
 {
   public:
+    /** `dir` empty = disabled; otherwise the cache lives in
+     *  `<dir>/jit/` (see TuneCache). */
     explicit CompileCache(std::string dir);
-    CompileCache();
 
     bool enabled() const { return !dir_.empty(); }
-    const std::string& dir() const { return dir_; }
 
-    /** Path of a validated cached shared object for `key`, or
-     *  std::nullopt. The returned file is immutable (rename-published)
-     *  and safe to dlopen directly. A checksum or version mismatch
-     *  quarantines the pair and misses; never throws. */
+    /** The checksum-validated object bytes cached for `key`, or
+     *  std::nullopt. Corrupt/truncated/stale entries are quarantined
+     *  and missed; never throws. */
     std::optional<std::string> probe(const CompileKey& key) const;
 
     /** Publish the built object at `so_path` under `key` (bytes are

@@ -527,6 +527,7 @@ Daemon::process(const ServeRequest& req, double admitted)
             put("jit_cache_hits", cs.jit_hits);
             put("jit_cache_misses", cs.jit_misses);
             put("jit_cache_corrupt", cs.jit_corrupt);
+            put("jit_cache_stale", cs.jit_stale);
             put("tmp_swept", cs.tmp_swept);
             put("faults_fired", fc.total());
             obs::HistogramSnapshot lat =
@@ -652,10 +653,13 @@ Daemon::process_lint(const ServeRequest& req)
     resp.id = req.id;
 
     ProcPtr p = resolve_kernel(req.kernel);
+    // Lint runs the analysis layer, whose memo tables are process-wide
+    // and unsynchronized: it holds the engine lock like every other
+    // engine call.
+    std::lock_guard<std::mutex> lk(engine_mu_);
     if (!req.script.empty()) {
         std::vector<verify::FuzzStep> script =
             verify::script_from_string(req.script);
-        std::lock_guard<std::mutex> lk(engine_mu_);
         p = tune::replay_script(p, script);
         resp.script = verify::script_to_string(script);
     }

@@ -56,34 +56,14 @@ namespace tune {
  */
 constexpr int kScheduleLibraryVersion = 2;
 
-/** The tunable action space, parameterized by the machine. */
+/** The tunable action space, parameterized by the machine. The op
+ *  families, their other factors and their size caps are fixed in
+ *  actions.cc. */
 struct TuneSpace
 {
     /** Loop-split factors (`t_divide`): vector-register multiples and
      *  cache-tile sides from `tile_hints`. */
     std::vector<int64_t> divide_factors;
-    /** `t_interleave` / `t_uaj` factors. */
-    std::vector<int> interleave_factors;
-    std::vector<int> jam_factors;
-    /** `t_unroll` only fires on constant trip counts <= this. */
-    int64_t unroll_max_trip = 8;
-    /** `t_interleave` only fires on loops with at most this many
-     *  direct body statements (stops interleave-stacking: the cost
-     *  model prices saved loop overhead but not code footprint). */
-    size_t max_interleave_body = 16;
-    /** `t_uaj` only fires on nests of at most this many statements
-     *  (stops jam-stacking and the register pressure it hides). */
-    size_t max_uaj_stmts = 8;
-    /** Master switches (all on by default). */
-    bool enable_vectorize = true;
-    bool enable_divide = true;
-    bool enable_reorder = true;
-    bool enable_unroll = true;
-    bool enable_interleave = true;
-    bool enable_cse = true;
-    bool enable_licm = true;
-    bool enable_uaj = true;
-    bool enable_lift_alloc = true;
 };
 
 /** The default space for `machine` at `precision` under `cfg`. */

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 
 #include "src/cache/cache.h"
@@ -288,6 +289,16 @@ compile_unit(const std::vector<std::string>& cc_argv,
     return out;
 }
 
+/** Write a cached object where the compiler would have put it (a
+ *  private build directory: no atomic publish needed). */
+bool
+write_object(const std::string& path, const std::string& bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return static_cast<bool>(out.flush());
+}
+
 /** Plant an injected execution fault in the generated unit: the real
  *  entry point is renamed and a wrapper that traps / divides by zero /
  *  spins is emitted in its place — a genuine miscompiled-kernel
@@ -355,11 +366,12 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
     // retried as portable scalar C before giving up.
     //
     // Persistent compile cache (DESIGN.md §8): when EXO2_CACHE_DIR is
-    // set, a previously built object for the same (generated source,
-    // compiler flags, compiler identity) is dlopened directly instead
-    // of re-running the compiler. A cached object that fails to load
-    // is quarantined and the unit rebuilt from source.
-    cache::CompileCache ccache;
+    // set, the bytes of a previously built object for the same
+    // (generated source, compiler flags, compiler identity) are written
+    // to kernel.so instead of re-running the compiler, so a hit and a
+    // fresh build load the same file. A cached object that fails to
+    // load is quarantined and the unit rebuilt from source.
+    cache::CompileCache ccache(cache::cache_dir_from_env());
     bool cache_probe_ok = true;  // cleared after a cached load failure
     RuntimeFault last_fault;
     for (;;) {
@@ -448,13 +460,10 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
         }
 
         from_cache_ = false;
-        std::string load_path = so_path;
         if (ccache.enabled() && cache_probe_ok) {
             EXO2_SPAN("cjit.cache_probe");
-            if (auto hit = ccache.probe(ckey)) {
-                load_path = *hit;
-                from_cache_ = true;
-            }
+            std::optional<std::string> object = ccache.probe(ckey);
+            from_cache_ = object && write_object(so_path, *object);
         }
 
         if (!from_cache_) {
@@ -497,12 +506,11 @@ CompiledProc::CompiledProc(const ProcPtr& p, NativeIsa isa) : proc_(p)
             }
         }
 
-        if (fault_should_inject(FaultSite::DlopenFail)) {
-            // Load the C source instead of the built object: a genuine
-            // dlopen failure with a real dlerror, through the real
-            // path.
-            load_path = c_path;
-        }
+        // An injected dlopen failure loads the C source instead of
+        // the object: a genuine dlopen failure with a real dlerror,
+        // through the real path.
+        const std::string& load_path =
+            fault_should_inject(FaultSite::DlopenFail) ? c_path : so_path;
         {
             EXO2_SPAN("cjit.dlopen");
             handle_ = dlopen(load_path.c_str(), RTLD_NOW | RTLD_LOCAL);

@@ -142,8 +142,8 @@ struct FaultSpec
     double hang = 0;          ///< kernel entry spins forever
     /** Structural cache-fault injection (DESIGN.md §8): a fired
      *  cache_corrupt bit-flips or truncates the just-written on-disk
-     *  cache entry; a fired cache_stale rewrites its header with an
-     *  outdated library version. Either way the *real* detection,
+     *  cache entry; a fired cache_stale rewrites its magic line with an
+     *  older format version. Either way the *real* detection,
      *  quarantine, and miss-recovery paths run against real damaged
      *  files. */
     double cache_corrupt = 0;

@@ -3,9 +3,11 @@
  * Persistent-cache tests (DESIGN.md §8): the shared util helpers
  * (env parsing, atomic writes), the on-disk tuning and compile
  * caches — round-trips, corruption/truncation/version-skew recovery
- * with quarantine, concurrent multi-thread and multi-process
- * hammering, kill -9 crash recovery — and the cache-backed autotune
- * fast path producing bit-for-bit replayable winners.
+ * with quarantine, a mutation sweep over their one entry codec,
+ * concurrent multi-thread and multi-process hammering, kill -9 crash
+ * recovery — the JIT's compile-cache path end to end, and the
+ * cache-backed autotune fast path producing bit-for-bit replayable
+ * winners.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,14 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/cache/cache.h"
+#include "src/frontend/parser.h"
 #include "src/ir/errors.h"
 #include "src/kernels/blas.h"
 #include "src/machine/machine.h"
@@ -481,14 +485,15 @@ TEST_F(CacheTest, CompileCacheRoundTripAndCorruptionRecovery)
 
     auto hit = cc.probe(k);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(read_all(*hit), "\x7f"
-                              "ELFfake-bytes");
+    EXPECT_EQ(*hit, "\x7f"
+                    "ELFfake-bytes");
 
-    // Damage the cached object: the checksum in the .meta sidecar
+    // Damage the cached object inside its entry: the entry's checksum
     // catches it before anyone dlopens.
-    std::string text = read_all(*hit);
-    text[4] ^= 0x10;
-    std::ofstream(*hit, std::ios::binary | std::ios::trunc) << text;
+    std::string path = dir + "/jit/" + cache::hex64(k.hash()) + ".jit";
+    std::string text = read_all(path);
+    text[text.size() - 4] ^= 0x10;
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
     EXPECT_FALSE(cc.probe(k).has_value());
     EXPECT_EQ(cache::cache_stats().jit_corrupt, 1u);
     EXPECT_GE(count_dir_entries(dir + "/jit/.bad", ""), 1);
@@ -496,6 +501,207 @@ TEST_F(CacheTest, CompileCacheRoundTripAndCorruptionRecovery)
     // Store again: healed.
     ASSERT_TRUE(cc.store(k, so));
     EXPECT_TRUE(cc.probe(k).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Robustness sweep over the one entry codec
+// ---------------------------------------------------------------------------
+
+/** Deterministic damage to one entry file: a byte flip (two masks) at
+ *  every offset, truncation at every length, a padded tail, and
+ *  hand-made header damage — malformed, negative and huge
+ *  `payload_bytes`, a missing `---`, and each header line duplicated. */
+std::vector<std::string>
+mutations_of(const std::string& entry)
+{
+    std::vector<std::string> out;
+    size_t header_end = entry.find("\n---\n") + 5;
+    for (size_t i = 0; i < entry.size(); i++) {
+        for (char mask : {'\x01', '\x80'}) {
+            std::string t = entry;
+            t[i] ^= mask;
+            out.push_back(t);
+        }
+    }
+    for (size_t n = 0; n < entry.size(); n++)
+        out.push_back(entry.substr(0, n));
+    out.push_back(entry + "\n");
+
+    auto edit = [&](const std::string& from, const std::string& to) {
+        std::string t = entry;
+        size_t at = t.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        out.push_back(t.replace(at, from.size(), to));
+    };
+    size_t at = entry.find("payload_bytes=");
+    std::string bytes_line =
+        entry.substr(at, entry.find('\n', at) + 1 - at);
+    for (const char* bad :
+         {"-1", "-0", "+12", "12junk", "", "99999999999999999999999",
+          "18446744073709551615"})
+        edit(bytes_line, std::string("payload_bytes=") + bad + "\n");
+    edit("\n---\n", "\n");
+    for (size_t pos = entry.find('\n') + 1; pos < header_end;) {
+        size_t nl = entry.find('\n', pos) + 1;
+        std::string line = entry.substr(pos, nl - pos);
+        edit(line, line + line);
+        pos = nl;
+    }
+    return out;
+}
+
+/** Install every mutation of `entry` at `path` and probe it: each probe
+ *  must miss or return exactly `payload`, and never throw. */
+template <typename Probe>
+void
+sweep_entry(const std::string& path, const std::string& entry,
+            const std::string& payload, Probe probe)
+{
+    std::vector<std::string> cases = mutations_of(entry);
+    ASSERT_GT(cases.size(), entry.size());
+    for (size_t i = 0; i < cases.size(); i++) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(cases[i].data(),
+                      static_cast<std::streamsize>(cases[i].size()));
+        }
+        std::optional<std::string> got;
+        EXPECT_NO_THROW(got = probe()) << "case " << i;
+        if (got)
+            EXPECT_EQ(*got, payload) << "case " << i << ":\n" << cases[i];
+    }
+}
+
+TEST_F(CacheTest, EntryCodecSurvivesMutationSweep)
+{
+    std::string dir = fresh_dir("sweep");
+
+    cache::TuneCache tc(dir);
+    cache::TuneEntry e;
+    e.script_text = "t_vectorize[0,1;AVX2,f32]\nt_interleave[0,4]\n";
+    e.cost = 864.0;
+    e.validated = true;
+    ASSERT_TRUE(tc.store(test_key(), e));
+    std::string tune_path =
+        dir + "/tune/" + cache::hex64(test_key().hash()) + ".tune";
+    std::string tune_entry = read_all(tune_path);
+    sweep_entry(tune_path, tune_entry, e.script_text,
+                [&]() -> std::optional<std::string> {
+                    auto hit = tc.probe(test_key());
+                    if (!hit)
+                        return std::nullopt;
+                    return hit->script_text;
+                });
+
+    cache::CompileCache cc(dir);
+    std::string so = dir + "/object.so";
+    std::string object = std::string("\x7f" "ELF\0\x01\x02", 7) + "body";
+    {
+        std::ofstream out(so, std::ios::binary);
+        out.write(object.data(), static_cast<std::streamsize>(object.size()));
+    }
+    cache::CompileKey k = ckey_for("int main;");
+    ASSERT_TRUE(cc.store(k, so));
+    std::string jit_path = dir + "/jit/" + cache::hex64(k.hash()) + ".jit";
+    sweep_entry(jit_path, read_all(jit_path), object,
+                [&] { return cc.probe(k); });
+
+    // Header numbers are whole strings: a version with trailing junk
+    // is damage, not the version it starts with.
+    cache::reset_cache_stats();
+    std::string junk = tune_entry;
+    size_t at = junk.find("\nlib=") + 1;
+    junk.insert(junk.find('\n', at), "junk");
+    std::ofstream(tune_path, std::ios::binary | std::ios::trunc) << junk;
+    EXPECT_FALSE(tc.probe(test_key()).has_value());
+    EXPECT_EQ(cache::cache_stats().tune_corrupt, 1u);
+
+    // Both caches heal: a fresh store serves hits again.
+    ASSERT_TRUE(tc.store(test_key(), e));
+    EXPECT_TRUE(tc.probe(test_key()).has_value());
+    ASSERT_TRUE(cc.store(k, so));
+    EXPECT_EQ(cc.probe(k), object);
+}
+
+// ---------------------------------------------------------------------------
+// The JIT's compile-cache path, end to end
+// ---------------------------------------------------------------------------
+
+/** y[i] = x[i] * x[i] + x[i]: one output buffer to compare bit for
+ *  bit. */
+ProcPtr
+jit_test_proc()
+{
+    return parse_proc(R"(
+def sqadd(n: size, x: f32[n] @ DRAM, y: f32[n] @ DRAM):
+    for i in seq(0, n):
+        y[i] = x[i] * x[i] + x[i]
+)");
+}
+
+/** Run a built jit_test_proc() on fixed inputs; returns its output. */
+std::vector<double>
+run_jit(const verify::CompiledProc& cp)
+{
+    Buffer x(ScalarType::F32, {37}), y(ScalarType::F32, {37});
+    x.fill_random(5);
+    cp.run({RunArg::make_size(37), RunArg::make_buffer(&x),
+            RunArg::make_buffer(&y)});
+    return std::vector<double>(y.data(), y.data() + y.size());
+}
+
+TEST_F(CacheTest, CompiledProcWarmBuildLoadsFromCacheWithSameBits)
+{
+    std::string dir = fresh_dir("jit");
+    setenv("EXO2_CACHE_DIR", dir.c_str(), 1);
+    ProcPtr p = jit_test_proc();
+
+    verify::CompiledProc cold(p, verify::NativeIsa::Scalar);
+    EXPECT_FALSE(cold.loaded_from_cache());
+    EXPECT_EQ(cache::cache_stats().jit_stores, 1u);
+
+    verify::CompiledProc warm(p, verify::NativeIsa::Scalar);
+    EXPECT_TRUE(warm.loaded_from_cache());
+    EXPECT_EQ(cache::cache_stats().jit_hits, 1u);
+
+    std::vector<double> a = run_jit(cold), b = run_jit(warm);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+              0);
+}
+
+TEST_F(CacheTest, CompiledProcQuarantinesCachedObjectThatFailsToLoad)
+{
+    std::string dir = fresh_dir("jitload");
+    setenv("EXO2_CACHE_DIR", dir.c_str(), 1);
+    ProcPtr p = jit_test_proc();
+    std::vector<double> cold_bits;
+    {
+        verify::CompiledProc cold(p, verify::NativeIsa::Scalar);
+        cold_bits = run_jit(cold);
+    }
+
+    // Every load fails: the cached object is quarantined as `load`,
+    // the unit is rebuilt from source and re-stored, and the rebuilt
+    // object's own load failure surfaces as a structured fault.
+    verify::set_fault_spec(verify::parse_fault_spec("dlopen_fail=1"));
+    EXPECT_THROW(verify::CompiledProc(p, verify::NativeIsa::Scalar),
+                 verify::FaultError);
+    verify::clear_fault_spec();
+    EXPECT_GE(count_dir_entries(dir + "/jit/.bad", ".load."), 1);
+    cache::CacheStats s = cache::cache_stats();
+    EXPECT_EQ(s.jit_hits, 1u);
+    EXPECT_EQ(s.jit_stores, 2u);
+
+    // The rebuilt entry serves the next build, which still runs with
+    // the cold build's bits.
+    verify::CompiledProc again(p, verify::NativeIsa::Scalar);
+    EXPECT_TRUE(again.loaded_from_cache());
+    std::vector<double> bits = run_jit(again);
+    ASSERT_EQ(bits.size(), cold_bits.size());
+    EXPECT_EQ(std::memcmp(bits.data(), cold_bits.data(),
+                          bits.size() * sizeof(double)),
+              0);
 }
 
 // ---------------------------------------------------------------------------

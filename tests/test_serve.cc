@@ -305,6 +305,48 @@ TEST_F(ServeTest, TuneThenCacheHitIsBitForBit)
     d.stop();
 }
 
+TEST_F(ServeTest, LintWhileAnotherClientTunesSeesTheSameAnalysis)
+{
+    ServeConfig cfg = test_config("lintrace");
+    Daemon d(cfg);
+    d.start();
+
+    // Script-less lint runs the analysis layer, whose memo tables the
+    // concurrent tune also fills; the answer must not change.
+    ServeRequest lint;
+    lint.id = "l1";
+    lint.op = "lint";
+    lint.kernel = "sgemv_n";
+    ServeClient lc(cfg.socket_path);
+    ServeResponse expect;
+    ASSERT_TRUE(lc.call(lint, &expect));
+    ASSERT_TRUE(expect.ok()) << expect.detail;
+
+    std::atomic<bool> tuning{true};
+    std::atomic<int> tune_failures{0};
+    std::thread tuner([&] {
+        ServeClient tc(cfg.socket_path);
+        for (const char* k : {"saxpy", "sdot", "sasum"}) {
+            ServeResponse r;
+            if (!tc.call(tune_request(k), &r) || !r.ok())
+                tune_failures++;
+        }
+        tuning = false;
+    });
+    int lints = 0, mismatches = 0;
+    while (tuning.load() || lints == 0) {
+        ServeResponse r;
+        if (!lc.call(lint, &r) || !r.ok() ||
+            r.extra["lint"] != expect.extra.at("lint"))
+            mismatches++;
+        lints++;
+    }
+    tuner.join();
+    EXPECT_EQ(tune_failures.load(), 0);
+    EXPECT_EQ(mismatches, 0) << "of " << lints << " lint answers";
+    d.stop();
+}
+
 TEST_F(ServeTest, MalformedRequestsAnswerErrorNotDisconnect)
 {
     ServeConfig cfg = test_config("err");
